@@ -1,8 +1,7 @@
 //! One function per paper table/figure.
 //!
-//! Every function prints the same rows the paper plots. See DESIGN.md's
-//! experiment index for the mapping and EXPERIMENTS.md for recorded
-//! paper-vs-measured outcomes.
+//! Every function prints the same rows the paper plots; the subcommand
+//! table in `repro`'s `main.rs` maps each subcommand to its function.
 
 use grs_core::hw_cost::hw_cost;
 use grs_core::{

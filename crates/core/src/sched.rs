@@ -1,8 +1,9 @@
 //! Warp-scheduling policies.
 //!
 //! Each SM has `SmConfig::schedulers` scheduler units; warps are statically
-//! partitioned among them by slot index (GPGPU-Sim's arrangement). Every
-//! cycle each unit picks at most one *ready* warp. The policies:
+//! partitioned among them by slot index (GPGPU-Sim's arrangement: unit `u`
+//! owns the slots `s` with `s % units == u`). Every cycle each unit picks at
+//! most one *ready* warp. The policies:
 //!
 //! * **LRR** — loose round robin, the paper's baseline (Table I).
 //! * **GTO** — greedy-then-oldest: keep issuing the same warp until it
@@ -14,6 +15,27 @@
 //!   sharing active every warp is unshared, so OWF degenerates to
 //!   oldest-first — which is why the paper observes Shared-OWF ≈
 //!   Unshared-GTO on Set-3 (Sec. VI-B2).
+//!
+//! ## The ready set
+//!
+//! Units pick from a [`ReadySet`]: the SM readiness scan's snapshot of its
+//! warp slots as bitmasks, one `u64` word per 64 slots (a single word for
+//! the paper's 48 warps). It holds a *live* mask (the slots the scan saw a
+//! live warp in), a *ready* mask, one mask per [`WarpClass`], each slot's
+//! dynamic warp id and the live slots as a list in slot order. The per-unit
+//! partition masks are computed once in
+//! [`SchedulerKind::build`], so a pick is a few word ANDs plus
+//! `trailing_zeros`; only the oldest-first fallbacks walk bits, and then
+//! only the candidate ones.
+//!
+//! LRR's pointer is **not** a slot number: `next[unit]` indexes the
+//! compacted list of live slots in slot order. A pick starts at the
+//! `next % n`-th live slot (`n` live slots; read off the list), takes the
+//! unit's first ready slot at or after it, wrapping around, and sets `next`
+//! to one past the picked slot's position in that list (a popcount of the
+//! live mask below it), modulo `n`. A launch or retirement
+//! that changes the live set therefore shifts which slot the pointer
+//! designates, as it does in GPGPU-Sim's vector-based round robin.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +64,7 @@ impl WarpClass {
     }
 }
 
-/// A scheduler's per-cycle view of one warp slot.
+/// The readiness scan's evaluation of one live warp slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarpView {
     /// Slot index within the SM (determines the scheduler partition).
@@ -53,6 +75,141 @@ pub struct WarpView {
     pub class: WarpClass,
     /// Can this warp issue an instruction this cycle?
     pub ready: bool,
+}
+
+const WORD: usize = u64::BITS as usize;
+
+/// Bits of word `w` that fall in the slot range `[lo, hi)`.
+#[inline]
+fn range_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let base = w * WORD;
+    let from = lo.saturating_sub(base).min(WORD);
+    let to = hi.saturating_sub(base).min(WORD);
+    if from >= to {
+        return 0;
+    }
+    (!0u64 >> (WORD - (to - from))) << from
+}
+
+/// Lowest slot in `[lo, hi)` whose bit is set in `mask` (given per word).
+#[inline]
+fn first_in(lo: usize, hi: usize, mask: impl Fn(usize) -> u64) -> Option<usize> {
+    if lo >= hi {
+        return None;
+    }
+    (lo / WORD..hi.div_ceil(WORD)).find_map(|w| {
+        let m = mask(w) & range_mask(w, lo, hi);
+        (m != 0).then(|| w * WORD + m.trailing_zeros() as usize)
+    })
+}
+
+/// Is `slot`'s bit set in `mask` (given per word)?
+#[inline]
+fn has(slot: usize, mask: impl Fn(usize) -> u64) -> bool {
+    mask(slot / WORD) & (1 << (slot % WORD)) != 0
+}
+
+/// One 64-slot word of every mask of a [`ReadySet`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Masks {
+    live: u64,
+    ready: u64,
+    /// One mask per class, indexed by [`WarpClass::rank`].
+    class: [u64; 3],
+}
+
+/// Slot-indexed bitmask snapshot of an SM's warps, as the schedulers see it
+/// (see the module docs). A scheduler built for `num_slots` slots must be
+/// given a set of the same size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadySet {
+    masks: Vec<Masks>,
+    dynamic_id: Vec<u64>,
+    /// The live slots in slot order: the list LRR's pointer indexes. Kept
+    /// beside the `live` mask because selecting the k-th set bit of a word
+    /// takes several popcounts, which the baseline x86-64 target computes in
+    /// software.
+    order: Vec<usize>,
+}
+
+impl ReadySet {
+    /// An empty set for an SM with `num_slots` warp slots.
+    pub fn new(num_slots: usize) -> Self {
+        ReadySet {
+            masks: vec![Masks::default(); num_slots.div_ceil(WORD)],
+            dynamic_id: vec![0; num_slots],
+            order: Vec::with_capacity(num_slots),
+        }
+    }
+
+    /// A set holding exactly `views` (sized to the highest slot), for tests
+    /// and tools that describe warps as a view list.
+    pub fn from_views(views: &[WarpView]) -> Self {
+        let mut set = ReadySet::new(views.iter().map(|v| v.slot + 1).max().unwrap_or(0));
+        for v in views {
+            set.insert(v);
+        }
+        set
+    }
+
+    /// Empty every slot (a structural rescan refills the set).
+    pub fn clear(&mut self) {
+        self.masks.fill(Masks::default());
+        self.order.clear();
+    }
+
+    /// Record `view` for its slot, marking the slot live and replacing
+    /// whatever the slot held.
+    #[inline]
+    pub fn insert(&mut self, view: &WarpView) {
+        let bit = 1u64 << (view.slot % WORD);
+        let m = &mut self.masks[view.slot / WORD];
+        if m.live & bit == 0 {
+            m.live |= bit;
+            // A refill inserts in slot order, so this appends.
+            let pos = self.order.partition_point(|&s| s < view.slot);
+            self.order.insert(pos, view.slot);
+        }
+        let set_if = |on: bool| if on { bit } else { 0 };
+        m.ready = m.ready & !bit | set_if(view.ready);
+        let rank = usize::from(view.class.rank());
+        for (r, class) in m.class.iter_mut().enumerate() {
+            *class = *class & !bit | set_if(r == rank);
+        }
+        self.dynamic_id[view.slot] = view.dynamic_id;
+    }
+
+    fn words(&self) -> usize {
+        self.masks.len()
+    }
+
+    /// Number of live slots below `slot`.
+    fn live_below(&self, slot: usize) -> usize {
+        let (w, b) = (slot / WORD, slot % WORD);
+        let full: usize = self.masks[..w]
+            .iter()
+            .map(|m| m.live.count_ones() as usize)
+            .sum();
+        full + (self.masks[w].live & ((1u64 << b) - 1)).count_ones() as usize
+    }
+
+    /// The set slot of `mask` with the smallest dynamic id; ties (possible
+    /// only in hand-built sets) go to the lowest slot.
+    fn oldest(&self, mask: impl Fn(usize) -> u64) -> Option<usize> {
+        let mut best: Option<(u64, usize)> = None;
+        for w in 0..self.words() {
+            let mut m = mask(w);
+            while m != 0 {
+                let slot = w * WORD + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let id = self.dynamic_id[slot];
+                if best.is_none_or(|(b, _)| id < b) {
+                    best = Some((id, slot));
+                }
+            }
+        }
+        best.map(|(_, slot)| slot)
+    }
 }
 
 /// Which scheduling policy to instantiate.
@@ -85,22 +242,32 @@ impl SchedulerKind {
     /// Instantiate per-unit state for an SM with `num_slots` warp slots and
     /// `units` scheduler units.
     pub fn build(self, num_slots: usize, units: usize) -> Scheduler {
-        match self {
-            SchedulerKind::Lrr => Scheduler::Lrr {
+        let words = num_slots.div_ceil(WORD);
+        let mut part = vec![0u64; units * words];
+        for slot in 0..num_slots {
+            part[(slot % units) * words + slot / WORD] |= 1 << (slot % WORD);
+        }
+        let policy = match self {
+            SchedulerKind::Lrr => Policy::Lrr {
                 next: vec![0; units],
             },
-            SchedulerKind::Gto => Scheduler::Gto {
+            SchedulerKind::Gto => Policy::Gto {
                 last: vec![None; units],
             },
-            SchedulerKind::TwoLevel { group_size } => Scheduler::TwoLevel {
+            SchedulerKind::TwoLevel { group_size } => Policy::TwoLevel {
                 group_size: group_size.max(1) as usize,
                 active_group: vec![0; units],
                 next_in_group: vec![0; units],
                 num_slots,
             },
-            SchedulerKind::Owf => Scheduler::Owf {
+            SchedulerKind::Owf => Policy::Owf {
                 last: vec![None; units],
             },
+        };
+        Scheduler {
+            words,
+            part,
+            policy,
         }
     }
 }
@@ -111,12 +278,23 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
-/// Scheduler state (one instance per SM; internal vectors are per unit).
+/// Scheduler state of one SM: the per-unit partition masks and the policy's
+/// per-unit state.
 #[derive(Debug, Clone)]
-pub enum Scheduler {
-    /// Loose round robin: rotate a pointer over the unit's slots.
+pub struct Scheduler {
+    /// Mask words per partition (one per 64 slots).
+    words: usize,
+    /// `part[unit * words + w]`: word `w` of the slots `unit` owns.
+    part: Vec<u64>,
+    policy: Policy,
+}
+
+/// Per-unit policy state (internal vectors are per unit).
+#[derive(Debug, Clone)]
+enum Policy {
+    /// Loose round robin: rotate a pointer over the live slots.
     Lrr {
-        /// Next slot to consider, per unit.
+        /// Next position in the compacted live-slot list, per unit.
         next: Vec<usize>,
     },
     /// Greedy-then-oldest.
@@ -147,126 +325,101 @@ pub enum Scheduler {
 impl Scheduler {
     /// Per-cycle bookkeeping for a cycle in which the readiness scan found
     /// no issuable warp: exactly the state transitions [`Self::pick`] would
-    /// make for every unit over an all-unready view, without the per-unit
-    /// view walks. Greedy policies (GTO, OWF) lose their streak — the
+    /// make for every unit over a set with no ready slot, without the
+    /// per-unit picks. Greedy policies (GTO, OWF) lose their streak — the
     /// greedy warp stalled — while the rotation pointers of LRR and
     /// Two-Level stay put, as `pick` only advances them on a successful
     /// pick. Because a second ready-less cycle is a no-op for every policy,
     /// the fast-forward engine can skip such cycles without touching
     /// scheduler state at all.
     pub fn note_idle_cycle(&mut self) {
-        match self {
-            Scheduler::Lrr { .. } | Scheduler::TwoLevel { .. } => {}
-            Scheduler::Gto { last } | Scheduler::Owf { last } => {
-                for l in last.iter_mut() {
-                    *l = None;
-                }
-            }
+        match &mut self.policy {
+            Policy::Lrr { .. } | Policy::TwoLevel { .. } => {}
+            Policy::Gto { last } | Policy::Owf { last } => last.fill(None),
         }
     }
 
-    /// Pick a warp for scheduler `unit` among `views` (the full SM view;
-    /// the policy only considers slots with `slot % units == unit`). Returns
-    /// the chosen slot. `views` must be sorted by `slot` (the simulator's
-    /// natural order).
-    pub fn pick(&mut self, unit: usize, units: usize, views: &[WarpView]) -> Option<usize> {
-        debug_assert!(views.windows(2).all(|w| w[0].slot < w[1].slot));
-        let mine = |v: &WarpView| v.slot % units == unit;
-        match self {
-            Scheduler::Lrr { next } => {
-                let n = views.len();
+    /// Pick a warp for scheduler `unit` among the ready slots of `set` that
+    /// the unit owns. Returns the chosen slot.
+    pub fn pick(&mut self, unit: usize, set: &ReadySet) -> Option<usize> {
+        debug_assert_eq!(set.words(), self.words, "ready set sized for another SM");
+        let part = &self.part[unit * self.words..(unit + 1) * self.words];
+        let cand = |w: usize| set.masks[w].ready & part[w];
+        match &mut self.policy {
+            Policy::Lrr { next } => {
+                let n = set.order.len();
                 if n == 0 {
                     return None;
                 }
-                let start = next[unit] % n;
-                for off in 0..n {
-                    let v = &views[(start + off) % n];
-                    if mine(v) && v.ready {
-                        next[unit] = (start + off + 1) % n;
-                        return Some(v.slot);
-                    }
-                }
-                None
+                // `next < n` unless the live set shrank: skip the division.
+                let k = next[unit];
+                let start = set.order[if k < n { k } else { k % n }];
+                let slot = first_in(start, self.words * WORD, cand)
+                    .or_else(|| first_in(0, start, cand))?;
+                let after = set.live_below(slot) + 1;
+                next[unit] = if after < n { after } else { 0 };
+                Some(slot)
             }
-            Scheduler::Gto { last } => {
+            Policy::Gto { last } => {
                 if let Some(slot) = last[unit] {
-                    if let Some(v) = views.iter().find(|v| v.slot == slot) {
-                        if v.ready && mine(v) {
-                            return Some(slot);
-                        }
+                    if has(slot, cand) {
+                        return Some(slot);
                     }
                 }
-                let pick = views
-                    .iter()
-                    .filter(|v| mine(v) && v.ready)
-                    .min_by_key(|v| v.dynamic_id)
-                    .map(|v| v.slot);
+                let pick = set.oldest(cand);
                 last[unit] = pick;
                 pick
             }
-            Scheduler::TwoLevel {
+            Policy::TwoLevel {
                 group_size,
                 active_group,
                 next_in_group,
                 num_slots,
             } => {
-                if *num_slots == 0 {
-                    return None;
-                }
-                let groups = num_slots.div_ceil(*group_size).max(1);
+                let groups = num_slots.div_ceil(*group_size);
                 // Try the active group first, then rotate through the rest.
                 for g_off in 0..groups {
                     let g = (active_group[unit] + g_off) % groups;
                     let lo = g * *group_size;
                     let hi = (lo + *group_size).min(*num_slots);
-                    let width = hi.saturating_sub(lo);
-                    if width == 0 {
-                        continue;
-                    }
                     // A freshly-entered group starts its round robin at the
                     // beginning; the active group resumes from its pointer.
                     let start = if g == active_group[unit] {
-                        next_in_group[unit] % width
+                        lo + next_in_group[unit] % (hi - lo)
                     } else {
-                        0
+                        lo
                     };
-                    for off in 0..width {
-                        let slot = lo + (start + off) % width;
-                        if let Some(v) = views.iter().find(|v| v.slot == slot) {
-                            if mine(v) && v.ready {
-                                active_group[unit] = g;
-                                next_in_group[unit] = ((slot - lo) + 1) % width;
-                                return Some(slot);
-                            }
-                        }
+                    let found = first_in(start, hi, cand).or_else(|| first_in(lo, start, cand));
+                    if let Some(slot) = found {
+                        active_group[unit] = g;
+                        next_in_group[unit] = (slot - lo + 1) % (hi - lo);
+                        return Some(slot);
                     }
                 }
                 None
             }
-            Scheduler::Owf { last } => {
-                let best = views
-                    .iter()
-                    .filter(|v| mine(v) && v.ready)
-                    .min_by_key(|v| (v.class.rank(), v.dynamic_id));
-                let Some(best) = best else {
+            Policy::Owf { last } => {
+                let best_class =
+                    (0..3).find(|&r| (0..self.words).any(|w| cand(w) & set.masks[w].class[r] != 0));
+                let Some(r) = best_class else {
                     // The greedy warp lost its streak; forget it so the next
                     // pick falls to the oldest ready warp (matching GTO's
                     // behaviour when everything stalls).
                     last[unit] = None;
                     return None;
                 };
+                let best = |w: usize| cand(w) & set.masks[w].class[r];
                 // Greedy within the best class: keep issuing the previously
                 // chosen warp while it stays ready and no higher class shows
                 // up.
                 if let Some(slot) = last[unit] {
-                    if let Some(v) = views.iter().find(|v| v.slot == slot) {
-                        if v.ready && mine(v) && v.class.rank() <= best.class.rank() {
-                            return Some(slot);
-                        }
+                    if has(slot, best) {
+                        return Some(slot);
                     }
                 }
-                last[unit] = Some(best.slot);
-                Some(best.slot)
+                let slot = set.oldest(best);
+                last[unit] = slot;
+                slot
             }
         }
     }
@@ -285,7 +438,11 @@ mod tests {
         }
     }
 
-    fn all_unshared(ready: &[bool]) -> Vec<WarpView> {
+    fn all_unshared(ready: &[bool]) -> ReadySet {
+        ReadySet::from_views(&unshared_views(ready))
+    }
+
+    fn unshared_views(ready: &[bool]) -> Vec<WarpView> {
         ready
             .iter()
             .enumerate()
@@ -296,44 +453,66 @@ mod tests {
     #[test]
     fn lrr_rotates() {
         let mut s = SchedulerKind::Lrr.build(4, 1);
-        let views = all_unshared(&[true, true, true, true]);
-        assert_eq!(s.pick(0, 1, &views), Some(0));
-        assert_eq!(s.pick(0, 1, &views), Some(1));
-        assert_eq!(s.pick(0, 1, &views), Some(2));
-        assert_eq!(s.pick(0, 1, &views), Some(3));
-        assert_eq!(s.pick(0, 1, &views), Some(0));
+        let set = all_unshared(&[true, true, true, true]);
+        assert_eq!(s.pick(0, &set), Some(0));
+        assert_eq!(s.pick(0, &set), Some(1));
+        assert_eq!(s.pick(0, &set), Some(2));
+        assert_eq!(s.pick(0, &set), Some(3));
+        assert_eq!(s.pick(0, &set), Some(0));
     }
 
     #[test]
     fn lrr_skips_unready() {
         let mut s = SchedulerKind::Lrr.build(4, 1);
-        let views = all_unshared(&[false, true, false, true]);
-        assert_eq!(s.pick(0, 1, &views), Some(1));
-        assert_eq!(s.pick(0, 1, &views), Some(3));
-        assert_eq!(s.pick(0, 1, &views), Some(1));
+        let set = all_unshared(&[false, true, false, true]);
+        assert_eq!(s.pick(0, &set), Some(1));
+        assert_eq!(s.pick(0, &set), Some(3));
+        assert_eq!(s.pick(0, &set), Some(1));
     }
 
     #[test]
     fn lrr_partitions_by_unit() {
         let mut s = SchedulerKind::Lrr.build(4, 2);
-        let views = all_unshared(&[true, true, true, true]);
+        let set = all_unshared(&[true, true, true, true]);
         // Unit 0 owns even slots, unit 1 odd slots.
-        assert_eq!(s.pick(0, 2, &views), Some(0));
-        assert_eq!(s.pick(1, 2, &views), Some(1));
-        assert_eq!(s.pick(0, 2, &views), Some(2));
-        assert_eq!(s.pick(1, 2, &views), Some(3));
+        assert_eq!(s.pick(0, &set), Some(0));
+        assert_eq!(s.pick(1, &set), Some(1));
+        assert_eq!(s.pick(0, &set), Some(2));
+        assert_eq!(s.pick(1, &set), Some(3));
+    }
+
+    #[test]
+    fn lrr_pointer_indexes_the_live_list_not_slots() {
+        // Live slots {0, 4, 5}, slot 0 stalled: picking slot 4 (live
+        // position 1) leaves the pointer at position 2. Once slots 1 and 2
+        // launch, position 2 is slot 2, not the slot after 4.
+        let mut s = SchedulerKind::Lrr.build(6, 1);
+        let before = ReadySet::from_views(&[
+            v(0, 0, WarpClass::Unshared, false),
+            v(4, 4, WarpClass::Unshared, true),
+            v(5, 5, WarpClass::Unshared, true),
+        ]);
+        assert_eq!(s.pick(0, &before), Some(4));
+        let after = ReadySet::from_views(&[
+            v(0, 0, WarpClass::Unshared, true),
+            v(1, 6, WarpClass::Unshared, true),
+            v(2, 7, WarpClass::Unshared, true),
+            v(4, 4, WarpClass::Unshared, true),
+            v(5, 5, WarpClass::Unshared, true),
+        ]);
+        assert_eq!(s.pick(0, &after), Some(2));
     }
 
     #[test]
     fn gto_is_greedy() {
         let mut s = SchedulerKind::Gto.build(3, 1);
-        let mut views = all_unshared(&[true, true, true]);
-        assert_eq!(s.pick(0, 1, &views), Some(0)); // oldest
-        assert_eq!(s.pick(0, 1, &views), Some(0)); // greedy
+        let mut views = unshared_views(&[true, true, true]);
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(0)); // oldest
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(0)); // greedy
         views[0].ready = false;
-        assert_eq!(s.pick(0, 1, &views), Some(1)); // falls to next oldest
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(1)); // falls to next oldest
         views[0].ready = true;
-        assert_eq!(s.pick(0, 1, &views), Some(1)); // stays greedy on 1
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(1)); // stays greedy on 1
     }
 
     #[test]
@@ -344,7 +523,7 @@ mod tests {
             v(1, 10, WarpClass::Unshared, true),
             v(2, 20, WarpClass::Unshared, true),
         ];
-        assert_eq!(s.pick(0, 1, &views), Some(1));
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(1));
     }
 
     #[test]
@@ -355,19 +534,19 @@ mod tests {
             v(1, 1, WarpClass::Unshared, true),
             v(2, 2, WarpClass::Owner, true),
         ];
-        assert_eq!(s.pick(0, 1, &views), Some(2)); // owner first
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(2)); // owner first
         let views2 = vec![
             v(0, 0, WarpClass::NonOwner, true),
             v(1, 1, WarpClass::Unshared, true),
             v(2, 2, WarpClass::Owner, false),
         ];
-        assert_eq!(s.pick(0, 1, &views2), Some(1)); // then unshared
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views2)), Some(1)); // then unshared
         let views3 = vec![
             v(0, 0, WarpClass::NonOwner, true),
             v(1, 1, WarpClass::Unshared, false),
             v(2, 2, WarpClass::Owner, false),
         ];
-        assert_eq!(s.pick(0, 1, &views3), Some(0)); // non-owner fills stalls
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views3)), Some(0)); // non-owner fills stalls
     }
 
     #[test]
@@ -377,25 +556,25 @@ mod tests {
             v(0, 9, WarpClass::Unshared, true),
             v(1, 3, WarpClass::Unshared, true),
         ];
-        assert_eq!(s.pick(0, 1, &views), Some(1));
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(1));
     }
 
     #[test]
     fn two_level_stays_in_group_then_switches() {
         let mut s = SchedulerKind::TwoLevel { group_size: 2 }.build(4, 1);
-        let mut views = all_unshared(&[true, true, true, true]);
+        let mut views = unshared_views(&[true, true, true, true]);
         // Group 0 = slots {0,1}: round robin inside.
-        assert_eq!(s.pick(0, 1, &views), Some(0));
-        assert_eq!(s.pick(0, 1, &views), Some(1));
-        assert_eq!(s.pick(0, 1, &views), Some(0));
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(0));
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(1));
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(0));
         // Group 0 all stalled → switch to group 1.
         views[0].ready = false;
         views[1].ready = false;
-        assert_eq!(s.pick(0, 1, &views), Some(2));
-        assert_eq!(s.pick(0, 1, &views), Some(3));
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(2));
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(3));
         // Group 0 wakes up but group 1 is active and still ready.
         views[0].ready = true;
-        assert_eq!(s.pick(0, 1, &views), Some(2));
+        assert_eq!(s.pick(0, &ReadySet::from_views(&views)), Some(2));
     }
 
     #[test]
@@ -415,26 +594,23 @@ mod tests {
             // Build up some state with a ready phase.
             let ready = all_unshared(&[true, true, true, true]);
             for unit in 0..2 {
-                assert_eq!(
-                    via_pick.pick(unit, 2, &ready),
-                    via_note.pick(unit, 2, &ready)
-                );
+                assert_eq!(via_pick.pick(unit, &ready), via_note.pick(unit, &ready));
             }
             // One all-unready cycle, both ways.
             let unready = all_unshared(&[false, false, false, false]);
             for unit in 0..2 {
-                assert_eq!(via_pick.pick(unit, 2, &unready), None);
+                assert_eq!(via_pick.pick(unit, &unready), None);
             }
             via_note.note_idle_cycle();
             // A second unready cycle must be a no-op.
             for unit in 0..2 {
-                assert_eq!(via_pick.pick(unit, 2, &unready), None);
+                assert_eq!(via_pick.pick(unit, &unready), None);
             }
             // Both must now behave identically on the next ready view.
             for unit in 0..2 {
                 assert_eq!(
-                    via_pick.pick(unit, 2, &ready),
-                    via_note.pick(unit, 2, &ready),
+                    via_pick.pick(unit, &ready),
+                    via_note.pick(unit, &ready),
                     "{kind:?} diverged after an idle cycle"
                 );
             }
@@ -450,9 +626,21 @@ mod tests {
             SchedulerKind::Owf,
         ] {
             let mut s = kind.build(0, 2);
-            assert_eq!(s.pick(0, 2, &[]), None);
-            assert_eq!(s.pick(1, 2, &[]), None);
+            let set = ReadySet::from_views(&[]);
+            assert_eq!(s.pick(0, &set), None);
+            assert_eq!(s.pick(1, &set), None);
         }
+    }
+
+    #[test]
+    fn bit_helpers_cross_word_boundaries() {
+        assert_eq!(range_mask(0, 3, 5), 0b11000);
+        assert_eq!(range_mask(1, 60, 70), 0b11_1111);
+        assert_eq!(range_mask(0, 0, 64), !0);
+        assert_eq!(range_mask(1, 0, 64), 0);
+        let words = [0u64, 1 << 7];
+        assert_eq!(first_in(3, 128, |w| words[w]), Some(71));
+        assert_eq!(first_in(72, 128, |w| words[w]), None);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property tests for the sharing runtime: lock mutual exclusion, the
-//! deadlock-avoidance invariant, ownership transfer, and scheduler contracts.
+//! deadlock-avoidance invariant, ownership transfer, and scheduler contracts,
+//! including the bitmask schedulers diffed against a linear-scan oracle.
 
 use grs_core::{
-    PairMember, RegAccess, RegPairLocks, Scheduler, SchedulerKind, SmemPairLock, WarpClass,
-    WarpView,
+    PairMember, ReadySet, RegAccess, RegPairLocks, Scheduler, SchedulerKind, SmemPairLock,
+    WarpClass, WarpView,
 };
 use proptest::prelude::*;
 
@@ -132,9 +133,10 @@ proptest! {
     ) {
         let units = 2;
         let mut sched: Scheduler = kind.build(views.len(), units);
+        let set = ReadySet::from_views(&views);
         for _ in 0..rounds {
             for unit in 0..units {
-                let pick = sched.pick(unit, units, &views);
+                let pick = sched.pick(unit, &set);
                 let any_candidate = views.iter().any(|v| v.ready && v.slot % units == unit);
                 match pick {
                     Some(slot) => {
@@ -154,7 +156,7 @@ proptest! {
     fn owf_respects_class_priority(views in arb_views()) {
         let units = 1;
         let mut sched = SchedulerKind::Owf.build(views.len(), units);
-        if let Some(slot) = sched.pick(0, units, &views) {
+        if let Some(slot) = sched.pick(0, &ReadySet::from_views(&views)) {
             let picked = views.iter().find(|v| v.slot == slot).unwrap();
             let best_rank = views
                 .iter()
@@ -163,6 +165,250 @@ proptest! {
                 .min()
                 .unwrap();
             prop_assert_eq!(picked.class.rank(), best_rank);
+        }
+    }
+}
+
+/// The schedulers as a linear scan over a slot-sorted view list, one view per
+/// live slot: the plain statement of each policy, the oracle the bitmask
+/// [`Scheduler`]'s picks are diffed against.
+#[derive(Debug, Clone)]
+enum ReferenceScheduler {
+    Lrr {
+        next: Vec<usize>,
+    },
+    Gto {
+        last: Vec<Option<usize>>,
+    },
+    TwoLevel {
+        group_size: usize,
+        active_group: Vec<usize>,
+        next_in_group: Vec<usize>,
+        num_slots: usize,
+    },
+    Owf {
+        last: Vec<Option<usize>>,
+    },
+}
+
+impl ReferenceScheduler {
+    fn build(kind: SchedulerKind, num_slots: usize, units: usize) -> Self {
+        match kind {
+            SchedulerKind::Lrr => ReferenceScheduler::Lrr {
+                next: vec![0; units],
+            },
+            SchedulerKind::Gto => ReferenceScheduler::Gto {
+                last: vec![None; units],
+            },
+            SchedulerKind::TwoLevel { group_size } => ReferenceScheduler::TwoLevel {
+                group_size: group_size.max(1) as usize,
+                active_group: vec![0; units],
+                next_in_group: vec![0; units],
+                num_slots,
+            },
+            SchedulerKind::Owf => ReferenceScheduler::Owf {
+                last: vec![None; units],
+            },
+        }
+    }
+
+    fn reference_pick(&mut self, unit: usize, units: usize, views: &[WarpView]) -> Option<usize> {
+        debug_assert!(views.windows(2).all(|w| w[0].slot < w[1].slot));
+        let mine = |v: &WarpView| v.slot % units == unit;
+        match self {
+            ReferenceScheduler::Lrr { next } => {
+                let n = views.len();
+                if n == 0 {
+                    return None;
+                }
+                let start = next[unit] % n;
+                for off in 0..n {
+                    let v = &views[(start + off) % n];
+                    if mine(v) && v.ready {
+                        next[unit] = (start + off + 1) % n;
+                        return Some(v.slot);
+                    }
+                }
+                None
+            }
+            ReferenceScheduler::Gto { last } => {
+                if let Some(slot) = last[unit] {
+                    if let Some(v) = views.iter().find(|v| v.slot == slot) {
+                        if v.ready && mine(v) {
+                            return Some(slot);
+                        }
+                    }
+                }
+                let pick = views
+                    .iter()
+                    .filter(|v| mine(v) && v.ready)
+                    .min_by_key(|v| v.dynamic_id)
+                    .map(|v| v.slot);
+                last[unit] = pick;
+                pick
+            }
+            ReferenceScheduler::TwoLevel {
+                group_size,
+                active_group,
+                next_in_group,
+                num_slots,
+            } => {
+                if *num_slots == 0 {
+                    return None;
+                }
+                let groups = num_slots.div_ceil(*group_size).max(1);
+                for g_off in 0..groups {
+                    let g = (active_group[unit] + g_off) % groups;
+                    let lo = g * *group_size;
+                    let hi = (lo + *group_size).min(*num_slots);
+                    let width = hi.saturating_sub(lo);
+                    if width == 0 {
+                        continue;
+                    }
+                    let start = if g == active_group[unit] {
+                        next_in_group[unit] % width
+                    } else {
+                        0
+                    };
+                    for off in 0..width {
+                        let slot = lo + (start + off) % width;
+                        if let Some(v) = views.iter().find(|v| v.slot == slot) {
+                            if mine(v) && v.ready {
+                                active_group[unit] = g;
+                                next_in_group[unit] = ((slot - lo) + 1) % width;
+                                return Some(slot);
+                            }
+                        }
+                    }
+                }
+                None
+            }
+            ReferenceScheduler::Owf { last } => {
+                let best = views
+                    .iter()
+                    .filter(|v| mine(v) && v.ready)
+                    .min_by_key(|v| (v.class.rank(), v.dynamic_id));
+                let Some(best) = best else {
+                    last[unit] = None;
+                    return None;
+                };
+                if let Some(slot) = last[unit] {
+                    if let Some(v) = views.iter().find(|v| v.slot == slot) {
+                        if v.ready && mine(v) && v.class.rank() <= best.class.rank() {
+                            return Some(slot);
+                        }
+                    }
+                }
+                last[unit] = Some(best.slot);
+                Some(best.slot)
+            }
+        }
+    }
+}
+
+fn class_of(c: u8) -> WarpClass {
+    match c {
+        0 => WarpClass::Owner,
+        1 => WarpClass::Unshared,
+        _ => WarpClass::NonOwner,
+    }
+}
+
+/// One round of changes: `(slot, class, ready)` overwrites of live slots,
+/// then optionally a vacancy toggle of one slot (a structural change: the set
+/// is cleared and refilled, as after a block launch or retirement).
+type Round = (Vec<(usize, u8, bool)>, Option<usize>);
+
+fn arb_round() -> impl Strategy<Value = Round> {
+    (
+        proptest::collection::vec((0usize..100, 0u8..3, any::<bool>()), 0..12),
+        prop_oneof![Just(None), (0usize..100).prop_map(Some)],
+    )
+}
+
+proptest! {
+    /// The bitmask pick makes exactly the oracle's decisions for every
+    /// policy, 1–4 units and up to 100 slots (two mask words), with vacant
+    /// slots, duplicate dynamic ids, and ready/class flips between rounds
+    /// applied the way the SM applies them: in place, or by a rebuild.
+    #[test]
+    fn ready_set_pick_matches_linear_scan_oracle(
+        kind in prop_oneof![
+            Just(SchedulerKind::Lrr),
+            Just(SchedulerKind::Gto),
+            (1u32..12).prop_map(|group_size| SchedulerKind::TwoLevel { group_size }),
+            Just(SchedulerKind::Owf),
+        ],
+        units in 1usize..5,
+        slots in proptest::collection::vec(
+            (0u8..4, 0u64..200, 0u8..3, any::<bool>()),
+            1..101,
+        ),
+        rounds in proptest::collection::vec(arb_round(), 8..16),
+    ) {
+        let num_slots = slots.len();
+        // `None` = vacant (one slot in four); live slots carry
+        // (dynamic id, class, ready).
+        let mut state: Vec<Option<(u64, WarpClass, bool)>> = slots
+            .iter()
+            .map(|&(vacant, id, class, ready)| (vacant != 0).then(|| (id, class_of(class), ready)))
+            .collect();
+        let mut next_id = 200u64;
+        let view = |slot: usize, (dynamic_id, class, ready): (u64, WarpClass, bool)| WarpView {
+            slot,
+            dynamic_id,
+            class,
+            ready,
+        };
+        let mut oracle = ReferenceScheduler::build(kind, num_slots, units);
+        let mut sched = kind.build(num_slots, units);
+        let mut set = ReadySet::new(num_slots);
+        for (slot, entry) in state.iter().enumerate() {
+            if let Some(e) = entry {
+                set.insert(&view(slot, *e));
+            }
+        }
+        for (i, (flips, toggle)) in std::iter::once((vec![], None)).chain(rounds).enumerate() {
+            for (slot, class, ready) in flips {
+                let slot = slot % num_slots;
+                if let Some(e) = state[slot].as_mut() {
+                    *e = (e.0, class_of(class), ready);
+                    set.insert(&view(slot, *e));
+                }
+            }
+            if let Some(slot) = toggle {
+                let slot = slot % num_slots;
+                state[slot] = match state[slot] {
+                    Some(_) => None,
+                    None => {
+                        next_id += 1;
+                        Some((next_id, WarpClass::Unshared, true))
+                    }
+                };
+                set.clear();
+                for (slot, entry) in state.iter().enumerate() {
+                    if let Some(e) = entry {
+                        set.insert(&view(slot, *e));
+                    }
+                }
+            }
+            let views: Vec<WarpView> = state
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, e)| e.map(|e| view(slot, e)))
+                .collect();
+            for unit in 0..units {
+                prop_assert_eq!(
+                    sched.pick(unit, &set),
+                    oracle.reference_pick(unit, units, &views),
+                    "{:?}, {} units, {} slots: round {}, unit {}",
+                    kind,
+                    units,
+                    num_slots,
+                    i,
+                    unit
+                );
+            }
         }
     }
 }

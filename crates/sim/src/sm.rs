@@ -17,17 +17,18 @@
 //!
 //! ## Incremental readiness
 //!
-//! The scan is incremental: each warp slot carries a `SlotScan` state and
-//! the cached [`WarpView`] from its last evaluation. A warp blocked purely on
-//! conditions that only a writeback drain or an issue on this SM can change —
-//! scoreboard hazard, exit drain, barrier wait — is *stable*: its cached view
-//! remains valid and the reference scan would produce no side effects for it,
-//! so it is skipped until something dirties it. Warps whose evaluation has
-//! per-cycle side effects or same-cycle dependencies (ready, lock busy-wait,
-//! throttle gating, MSHR backpressure) are *volatile* and re-evaluated every
-//! cycle, reproducing the reference side-effect sequence (stat counters, RNG
-//! draws) in slot order. Structural changes (block launch/retire) rebuild the
-//! whole view vector, which otherwise keeps the exact composition the
+//! The scan is incremental: each warp slot keeps its entry in the
+//! scheduler's [`ReadySet`] from its last evaluation. A warp blocked purely
+//! on conditions that only a writeback drain or an issue on this SM can
+//! change — scoreboard hazard, exit drain, barrier wait — is *stable*: its
+//! entry remains valid and the reference scan would produce no side effects
+//! for it, so it is skipped until something dirties it into the `pending`
+//! slot mask. Warps whose evaluation has per-cycle side effects or
+//! same-cycle dependencies (ready, lock busy-wait, throttle gating, MSHR
+//! backpressure) are *volatile* and stay pending, re-evaluated every cycle,
+//! reproducing the reference side-effect sequence (stat counters, RNG draws)
+//! in slot order. Structural changes (block launch/retire) clear and refill
+//! the whole set, which otherwise keeps the exact live-slot composition the
 //! schedulers saw in the reference implementation.
 //!
 //! ## Fast-forward support
@@ -40,8 +41,8 @@
 //! [`Sm::credit_skipped`], preserving the idle/empty split bit for bit.
 
 use grs_core::{
-    DynThrottle, LatencyConfig, LaunchPlan, RegAccess, RegPairLocks, Scheduler, SchedulerKind,
-    SmemPairLock, WarpClass, WarpView,
+    DynThrottle, LatencyConfig, LaunchPlan, ReadySet, RegAccess, RegPairLocks, Scheduler,
+    SchedulerKind, SmemPairLock, WarpClass, WarpView,
 };
 use grs_isa::Op;
 
@@ -80,16 +81,12 @@ pub enum WbKind {
     MemTxn(u16),
 }
 
-/// Scan bookkeeping for one warp slot.
+/// How an evaluation leaves a warp slot, as the incremental scan tracks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotScan {
-    /// No live warp in the slot.
-    Vacant,
-    /// State changed since the last evaluation; re-evaluate once.
-    Dirty,
     /// Blocked on conditions only a drain or an SM-local issue can change
-    /// (hazard, exit drain, barrier): cached view valid, no per-cycle side
-    /// effects. Skippable.
+    /// (hazard, exit drain, barrier): ready-set entry valid, no per-cycle side
+    /// effects. Skipped until something dirties it.
     Stable,
     /// Re-evaluate every cycle: ready, lock-blocked, throttle-gated or
     /// MSHR-full — evaluation has per-cycle side effects (stat counters,
@@ -132,7 +129,7 @@ struct ScanSummary {
 
 impl ScanSummary {
     #[inline]
-    fn note(&mut self, view: &WarpView, state: SlotScan, blocked: Blocked) {
+    fn note(&mut self, ready: bool, state: SlotScan, blocked: Blocked) {
         match blocked {
             Blocked::No => {}
             Blocked::Hard => self.any_stall = true,
@@ -140,7 +137,7 @@ impl ScanSummary {
             Blocked::GateDram => self.gate_dram += 1,
         }
         self.any_volatile |= state == SlotScan::Volatile;
-        self.any_ready |= view.ready;
+        self.any_ready |= ready;
     }
 
     /// Any warp blocked by the memory gate?
@@ -206,16 +203,21 @@ pub struct Sm {
     units: usize,
     next_dyn_id: u64,
     writebacks: TimingWheel<Writeback>,
-    // Incremental-scan state.
-    scan_state: Vec<SlotScan>,
-    view_pos: Vec<u32>,
+    // Incremental-scan state, one bit per warp slot. A `stable` slot is
+    // skipped until a drain or an SM-local issue dirties it into `pending`;
+    // `pending` slots (dirty, volatile or gated) are re-evaluated by the next
+    // scan; a vacant slot is in neither.
+    stable: Vec<u64>,
+    pending: Vec<u64>,
+    /// The scheduler's snapshot of the latest scan (see the module docs).
+    ready_set: ReadySet,
     live_warp_count: u32,
     structural: bool,
     /// Gate-blocked warp counts `(mshr, dram)` from the latest scan, kept
     /// for closed-form crediting of a gated sleep span.
     last_gate_blocks: (u32, u32),
     /// With `incremental` off (the `fast_forward: false` reference mode)
-    /// every scan rebuilds every view from scratch and ready-less cycles
+    /// every scan rebuilds the ready set from scratch and ready-less cycles
     /// still walk the scheduler units — the seed's exact per-cycle
     /// behaviour, so the equivalence suite genuinely diffs the incremental
     /// engine (dirty tracking, idle shortcut) against it.
@@ -235,12 +237,9 @@ pub struct Sm {
     /// Live slots currently barrier-parked (reason 2).
     n_barrier: u32,
     // per-cycle scratch, reused to avoid allocation
-    views: Vec<WarpView>,
     addr_buf: Vec<u64>,
     wb_scratch: Vec<(u64, Writeback)>,
 }
-
-const NO_VIEW: u32 = u32::MAX;
 
 impl Sm {
     /// Build an SM for one run. `mode.incremental` selects the event-engine
@@ -277,8 +276,9 @@ impl Sm {
             units,
             next_dyn_id: 0,
             writebacks: TimingWheel::new(),
-            scan_state: vec![SlotScan::Vacant; slots * wpb],
-            view_pos: vec![NO_VIEW; slots * wpb],
+            stable: vec![0; (slots * wpb).div_ceil(64)],
+            pending: vec![0; (slots * wpb).div_ceil(64)],
+            ready_set: ReadySet::new(slots * wpb),
             live_warp_count: 0,
             structural: true,
             last_gate_blocks: (0, 0),
@@ -287,7 +287,6 @@ impl Sm {
             slot_reason: vec![0; slots * wpb],
             n_hazard: 0,
             n_barrier: 0,
-            views: Vec::with_capacity(slots * wpb),
             addr_buf: Vec::with_capacity(32),
             wb_scratch: Vec::with_capacity(32),
         }
@@ -605,7 +604,7 @@ impl Sm {
         let mut smem_port_used = false;
         if scan.any_ready || !self.incremental {
             for unit in 0..self.units {
-                let Some(slot) = self.sched.pick(unit, self.units, &self.views) else {
+                let Some(slot) = self.sched.pick(unit, &self.ready_set) else {
                     continue;
                 };
                 let pc = self.warps[slot].as_ref().expect("picked warp exists").pc as usize;
@@ -634,7 +633,7 @@ impl Sm {
         } else {
             // No unit can pick anything; apply the scheduler-state
             // transition an all-unready pick round would have made and skip
-            // the per-unit view walks.
+            // the per-unit picks.
             self.sched.note_idle_cycle();
         }
 
@@ -688,23 +687,32 @@ impl Sm {
                     }
                     // Intermediate transactions of a group dirty the slot
                     // harmlessly (a still-blocked warp re-evaluates to the
-                    // same view with no side effects); the group's last
+                    // same entry with no side effects); the group's last
                     // transaction is the real wake-up.
                     WbKind::MemTxn(group) => {
                         w.mem_txn_done(group);
                     }
                 }
-                if self.scan_state[slot] == SlotScan::Stable {
-                    self.scan_state[slot] = SlotScan::Dirty;
-                }
+                self.pending[slot / 64] |= self.stable[slot / 64] & (1 << (slot % 64));
             }
         }
     }
 
     #[inline]
     fn mark_slot_dirty(&mut self, slot: usize) {
-        if self.scan_state[slot] == SlotScan::Stable {
-            self.scan_state[slot] = SlotScan::Dirty;
+        self.pending[slot / 64] |= self.stable[slot / 64] & (1 << (slot % 64));
+    }
+
+    /// Record how `slot`'s evaluation left it.
+    #[inline]
+    fn set_scan(&mut self, slot: usize, state: SlotScan) {
+        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+        if state == SlotScan::Stable {
+            self.stable[w] |= bit;
+            self.pending[w] &= !bit;
+        } else {
+            self.stable[w] &= !bit;
+            self.pending[w] |= bit;
         }
     }
 
@@ -718,15 +726,15 @@ impl Sm {
     }
 
     /// Invalidate both blocks of `pair` — a lock grant may have changed the
-    /// pair's owner, which feeds every cached view's [`WarpClass`].
+    /// pair's owner, which feeds every ready-set entry's [`WarpClass`].
     fn mark_pair_dirty(&mut self, pair: u32, warps_per_block: u32) {
         let a = self.plan.unshared + 2 * pair;
         self.mark_block_dirty(a, warps_per_block);
         self.mark_block_dirty(a + 1, warps_per_block);
     }
 
-    /// Scan resident warps, refreshing the scheduler view. Stable slots are
-    /// skipped; their cached views are still exactly what a full scan would
+    /// Scan resident warps, refreshing the ready set. Stable slots are
+    /// skipped; their entries are still exactly what a full scan would
     /// produce, with the same (empty) side-effect set. Ready warps are
     /// always volatile, so `any_ready` only needs the re-evaluated slots.
     fn scan_readiness(
@@ -747,33 +755,34 @@ impl Sm {
         };
         if self.structural || !self.incremental {
             self.structural = false;
-            self.views.clear();
+            self.ready_set.clear();
+            self.stable.fill(0);
+            self.pending.fill(0);
             for slot in 0..self.warps.len() {
                 let live = self.warps[slot].as_ref().is_some_and(|w| !w.finished);
                 if !live {
-                    self.scan_state[slot] = SlotScan::Vacant;
-                    self.view_pos[slot] = NO_VIEW;
                     self.set_reason(slot, 0, now);
                     continue;
                 }
                 let (view, state, blocked) =
                     self.eval_warp(slot, now, kinfo, throttle, max_pending, gate);
-                summary.note(&view, state, blocked);
-                self.scan_state[slot] = state;
-                self.view_pos[slot] = self.views.len() as u32;
-                self.views.push(view);
+                summary.note(view.ready, state, blocked);
+                self.set_scan(slot, state);
+                self.ready_set.insert(&view);
             }
         } else {
-            for slot in 0..self.warps.len() {
-                match self.scan_state[slot] {
-                    SlotScan::Vacant | SlotScan::Stable => {}
-                    SlotScan::Dirty | SlotScan::Volatile | SlotScan::Gated => {
-                        let (view, state, blocked) =
-                            self.eval_warp(slot, now, kinfo, throttle, max_pending, gate);
-                        summary.note(&view, state, blocked);
-                        self.scan_state[slot] = state;
-                        self.views[self.view_pos[slot] as usize] = view;
-                    }
+            // Pending slots in slot order: the reference scan's side-effect
+            // order.
+            for w in 0..self.pending.len() {
+                let mut bits = self.pending[w];
+                while bits != 0 {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let (view, state, blocked) =
+                        self.eval_warp(slot, now, kinfo, throttle, max_pending, gate);
+                    summary.note(view.ready, state, blocked);
+                    self.set_scan(slot, state);
+                    self.ready_set.insert(&view);
                 }
             }
         }
@@ -953,26 +962,31 @@ impl Sm {
         }
 
         // Acquire pair locks for real (a peer scheduler unit may have taken
-        // them since the readiness scan). A grant may flip the pair's lock
-        // and owner state, so cached views of both blocks are invalidated;
-        // a denial mutates nothing.
+        // them since the readiness scan). A grant that takes a lock the warp
+        // did not hold may flip the pair's lock and owner state, so the
+        // ready-set entries of both blocks are invalidated; a repeat access
+        // by the holder and a denial mutate nothing.
         if let Pairing::Paired { pair, member } = pairing {
-            if meta.uses_shared_reg() {
-                if let PairLocks::Reg(l) = &mut self.pairs[pair as usize] {
+            let acquired = match &mut self.pairs[pair as usize] {
+                PairLocks::Reg(l) if meta.uses_shared_reg() => {
+                    let held = l.holds(member, warp_in_block as usize);
                     if l.access_shared(member, warp_in_block as usize) == RegAccess::Blocked {
                         self.stats.lock_retries += 1;
                         return false;
                     }
+                    l.holds(member, warp_in_block as usize) != held
                 }
-                self.mark_pair_dirty(pair, kinfo.warps_per_block);
-            }
-            if meta.uses_shared_smem() {
-                if let PairLocks::Smem(l) = &mut self.pairs[pair as usize] {
+                PairLocks::Smem(l) if meta.uses_shared_smem() => {
+                    let held = l.holds(member);
                     if l.access_shared(member) == RegAccess::Blocked {
                         self.stats.lock_retries += 1;
                         return false;
                     }
+                    l.holds(member) != held
                 }
+                _ => false,
+            };
+            if acquired {
                 self.mark_pair_dirty(pair, kinfo.warps_per_block);
             }
         }
@@ -1125,7 +1139,7 @@ impl Sm {
 
     /// Handle a warp retirement: release its register pair lock, resolve
     /// barriers it is no longer part of, and complete the block when it was
-    /// the last warp. Retirement changes the view composition (and possibly
+    /// the last warp. Retirement changes the live-slot set (and possibly
     /// lock/owner state), so the next scan rebuilds from scratch.
     fn retire_warp(
         &mut self,
@@ -1340,6 +1354,59 @@ mod tests {
         assert_eq!(s.stats.blocks_completed, 1);
         // 2 warps × 4 instructions (ialu, barrier, ialu, exit).
         assert_eq!(s.stats.warp_instrs, 8);
+    }
+
+    #[test]
+    fn only_a_lock_acquisition_dirties_the_pair() {
+        // t = 0.1 of 8 registers leaves none private: every ialu touches a
+        // shared register. One pair of 2-warp blocks: slots 0-1 and 2-3.
+        let k = KernelBuilder::new("shared")
+            .threads_per_block(64)
+            .regs_per_thread(8)
+            .grid_blocks(2)
+            .ialu(4)
+            .build();
+        let ki = KernelInfo::new(
+            k,
+            Some(ResourceKind::Registers),
+            Threshold::new(0.1).unwrap(),
+        );
+        assert!(ki.meta[0].uses_shared_reg());
+        let cfg = GpuConfig::tiny();
+        let mut s = sm(&ki, plan(0, 1));
+        let mut shared = SharedMem::new(cfg.mem);
+        let mut throttle = DynThrottle::disabled(1);
+        let mut disp = Dispatcher::new(2);
+        s.launch_block(disp.next_block().unwrap(), &ki, 0);
+        s.launch_block(disp.next_block().unwrap(), &ki, 0);
+        let gate = shared.issue_gate();
+        s.scan_readiness(0, &ki, &mut throttle, 8, gate);
+        // Pretend every slot is stable, so dirtying shows in `pending`.
+        let all_stable = |s: &mut Sm| {
+            s.stable = vec![0b1111];
+            s.pending = vec![0];
+        };
+        let issue = |s: &mut Sm, slot: usize, shared: &mut SharedMem, disp: &mut Dispatcher| {
+            s.issue(slot, 0, &ki, &cfg.lat, shared, disp)
+        };
+
+        // Warp 0 of block A takes its pair lock: both blocks are dirtied.
+        all_stable(&mut s);
+        assert!(issue(&mut s, 0, &mut shared, &mut disp));
+        assert_eq!(s.pending, vec![0b1111]);
+        // The holder's repeat access changes neither lock nor owner.
+        all_stable(&mut s);
+        assert!(issue(&mut s, 0, &mut shared, &mut disp));
+        assert_eq!(
+            (s.stable.clone(), s.pending.clone()),
+            (vec![0b1111], vec![0])
+        );
+        // Neither does a denied access by the partner's warp 0.
+        assert!(!issue(&mut s, 2, &mut shared, &mut disp));
+        assert_eq!(s.pending, vec![0]);
+        // Warp 1 of block A acquires its own lock: dirty again.
+        assert!(issue(&mut s, 1, &mut shared, &mut disp));
+        assert_eq!(s.pending, vec![0b1111]);
     }
 
     #[test]

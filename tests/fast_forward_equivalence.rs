@@ -86,6 +86,52 @@ fn fast_forward_actually_skips_on_a_latency_bound_kernel() {
     );
 }
 
+#[test]
+fn sms_with_more_than_64_warp_slots_are_bit_identical() {
+    // 4096 threads per SM = 128 warp slots, so the scheduler's ready set,
+    // its partition masks and the scan's slot masks span two 64-bit words —
+    // which the paper's 48-warp machine never reaches. 16-warp blocks limited
+    // to 5 per SM by registers and scratchpad, 8 with sharing.
+    let kernel = KernelBuilder::new("wide")
+        .threads_per_block(512)
+        .regs_per_thread(12)
+        .smem_per_block(3000)
+        .grid_blocks(48)
+        .ld_global(GP::BlockTile { tile_lines: 16 })
+        .ialu(2)
+        .st_shared(0, 64)
+        .ld_shared(2048, 64)
+        .ffma(2)
+        .barrier()
+        .loop_back(0, 3)
+        .st_global(GP::Stream)
+        .build();
+    for sched in [
+        SchedulerKind::Lrr,
+        SchedulerKind::Gto,
+        SchedulerKind::TwoLevel { group_size: 8 },
+        SchedulerKind::Owf,
+    ] {
+        for sharing in [
+            SharingMode::None,
+            SharingMode::Registers,
+            SharingMode::Scratchpad,
+        ] {
+            let mut cfg = config(sched, sharing);
+            cfg.gpu.sm.max_threads = 4096;
+            let fast = Simulator::new(cfg.clone().with_fast_forward(true)).run(&kernel);
+            let reference = Simulator::new(cfg.with_fast_forward(false)).run(&kernel);
+            assert_eq!(fast, reference, "{sched:?} × {sharing:?} diverges");
+            assert_eq!(fast.blocks_completed, 48);
+            assert!(
+                fast.max_resident_blocks * 16 > 64,
+                "{sched:?} × {sharing:?}: {} resident blocks stay within one mask word",
+                fast.max_resident_blocks
+            );
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct KernelSpec {
     threads_log2: u32,
