@@ -130,6 +130,25 @@ pub fn fig1() {
     }
 }
 
+/// The `dStall%` and `dIdle%` cells of `now` against `base`, each 10 wide.
+/// A decrease is only reported against a baseline count of at least 1% of
+/// the baseline run's `cycles`; below that (CONV2's stalls, for one) the
+/// percentage of a near-zero count is noise, so the cell reads `n/a`.
+fn stall_idle_cells(now: &SimStats, base: &SimStats) -> String {
+    let cell = |pct: f64, base_count: u64| {
+        if base_count.saturating_mul(100) < base.cycles {
+            format!("{:>10}", "n/a")
+        } else {
+            format!("{pct:>9.1}%")
+        }
+    };
+    format!(
+        "{} {}",
+        cell(now.stall_decrease_pct(base), base.stall_cycles),
+        cell(now.idle_decrease_pct(base), base.idle_cycles)
+    )
+}
+
 fn improvement_table(
     title: &str,
     names: &[&str],
@@ -143,15 +162,14 @@ fn improvement_table(
     );
     for ((n, (_, b)), (_, s)) in names.iter().zip(baselines).zip(shared) {
         println!(
-            "{:<12} {:>9.1} {:>9.1} {:>7.2}% {:>9} {:>9} {:>9.1}% {:>9.1}%",
+            "{:<12} {:>9.1} {:>9.1} {:>7.2}% {:>9} {:>9} {}",
             n,
             b.ipc(),
             s.ipc(),
             s.ipc_improvement_pct(b),
             b.max_resident_blocks,
             s.max_resident_blocks,
-            s.stall_decrease_pct(b),
-            s.idle_decrease_pct(b),
+            stall_idle_cells(s, b),
         );
     }
 }
@@ -267,12 +285,7 @@ pub fn fig9(quick: bool) {
         let row = &out[i * reg_cfgs.len()..(i + 1) * reg_cfgs.len()];
         let base = &row[0].1;
         let full = &row[reg_cfgs.len() - 1].1;
-        println!(
-            "{:<12} {:>9.1}% {:>9.1}%",
-            n,
-            full.stall_decrease_pct(base),
-            full.idle_decrease_pct(base)
-        );
+        println!("{n:<12} {}", stall_idle_cells(full, base));
     }
 
     // Scratchpad ablation (paper Fig. 9(b)): NoOpt (LRR) vs OWF.
@@ -312,12 +325,7 @@ pub fn fig9(quick: bool) {
         let row = &out[i * smem_cfgs.len()..(i + 1) * smem_cfgs.len()];
         let base = &row[0].1;
         let full = &row[2].1;
-        println!(
-            "{:<12} {:>9.1}% {:>9.1}%",
-            n,
-            full.stall_decrease_pct(base),
-            full.idle_decrease_pct(base)
-        );
+        println!("{n:<12} {}", stall_idle_cells(full, base));
     }
 }
 
@@ -690,5 +698,38 @@ fn sweep_tables(
             print!(" {:>5}", plan.max_blocks);
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn decreases_against_a_near_zero_baseline_render_as_na() {
+        let base = SimStats {
+            cycles: 10_000,
+            stall_cycles: 99,
+            idle_cycles: 100,
+            ..SimStats::default()
+        };
+        let now = SimStats {
+            stall_cycles: 8_300,
+            idle_cycles: 50,
+            ..SimStats::default()
+        };
+        // 99 < 1% of 10 000 cycles: undefined. 100 is exactly 1%: defined.
+        assert_eq!(
+            stall_idle_cells(&now, &base),
+            format!("{:>10} {:>9.1}%", "n/a", 50.0)
+        );
+        let zero = SimStats {
+            cycles: 10_000,
+            ..SimStats::default()
+        };
+        assert_eq!(
+            stall_idle_cells(&now, &zero),
+            format!("{:>10} {:>10}", "n/a", "n/a")
+        );
     }
 }

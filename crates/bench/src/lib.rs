@@ -2,7 +2,7 @@
 //!
 //! Library backing the `repro` binary and the Criterion benches: the sweep
 //! service ([`service`]) — a process-wide job queue with content-hash
-//! memoization, in-flight dedup, and supervised workers — its batch client
+//! memoization, in-flight dedup, and a worker pool — its batch client
 //! ([`runner`]), plus one function per paper table/figure
 //! ([`experiments`]). Each experiment prints the same rows/series the paper
 //! reports so that EXPERIMENTS.md can record paper-vs-measured side by side.

@@ -15,11 +15,9 @@
 //!   fig12    Fig. 12 Set-3 policy equivalences
 //!   table5   Table V/VI  IPC and blocks vs %register sharing
 //!   table7   Table VII/VIII IPC and blocks vs %scratchpad sharing
-//!   perf     simulator-engine throughput (fast-forward vs reference, the
-//!            sharded epoch engine at several shard counts, the supervision
-//!            layer's overhead, and the telemetry subsystem's overhead);
-//!            writes BENCH_pr2.json, BENCH_pr6.json, BENCH_pr7.json and
-//!            BENCH_pr8.json (not paper artifacts)
+//!   perf     simulator-engine throughput (fast-forward vs reference, and
+//!            the telemetry subsystem's overhead); writes BENCH_pr2.json
+//!            and BENCH_pr8.json (not paper artifacts)
 //!   trace    run one scenario with cycle-level telemetry and export a
 //!            Perfetto-loadable Chrome trace (and optionally a metrics
 //!            CSV): repro trace [conv1-28|hotspot-28] [--out=trace.json]
@@ -28,8 +26,8 @@
 //!            stress-profile spec — across the baseline/sharing config
 //!            matrix and print the comparison table:
 //!            repro run <name|gen:<family>:<seed>[:<size>]> [--check]
-//!            (--check re-runs the baseline on the per-cycle reference and
-//!            2-shard engines and asserts bit-identical statistics)
+//!            (--check re-runs the baseline on the per-cycle reference
+//!            engine and asserts bit-identical statistics)
 //!   sweep    batch scenarios through the sweep service and print its
 //!            dedup/memoization accounting:
 //!            repro sweep <spec>... [--matrix] [--warm-check]
@@ -72,8 +70,6 @@ fn main() {
         "perf" => {
             let reps = if quick { 3 } else { 20 };
             perf::write_report(reps).expect("writing BENCH_pr2.json failed");
-            perf::write_shard_report(reps).expect("writing BENCH_pr6.json failed");
-            perf::write_supervision_report(reps).expect("writing BENCH_pr7.json failed");
             perf::write_telemetry_report(reps).expect("writing BENCH_pr8.json failed");
         }
         "trace" => {

@@ -15,24 +15,15 @@
 //! [`write_report`] emits `BENCH_pr2.json` (used by `repro perf`); the
 //! criterion bench `perf_engine` wraps the same scenario.
 //!
-//! [`write_shard_report`] emits the companion `BENCH_pr6.json`: the same
-//! scenarios under the sharded epoch engine (`RunConfig::shards`) at
-//! several shard counts, timed against the per-cycle reference loop, with
-//! the statistics of every timed run asserted bit-identical to the
-//! sequential result (a benchmark that drifted would be measuring a
-//! different simulation).
-//!
-//! [`write_supervision_report`] emits `BENCH_pr7.json`: the wall-clock
-//! overhead of the supervision layer (checkpointing, and a full
-//! rollback-and-degrade recovery from an injected worker panic), again with
-//! every supervised run asserted bit-identical to its plain twin.
-//! [`check_speedup_gate`] is the scheduled perf-regression gate over the
-//! primary fast-forward speedup ratio.
+//! [`write_telemetry_report`] emits `BENCH_pr8.json`: the wall-clock
+//! overhead of telemetry, with every traced run asserted bit-identical to
+//! its plain twin. [`check_speedup_gate`] is the scheduled perf-regression
+//! gate over the primary fast-forward speedup ratio.
 
 use std::time::Instant;
 
 use grs_isa::Kernel;
-use grs_sim::{FaultPlan, MemoryModel, RunConfig, SimStats, Simulator, TelemetryConfig};
+use grs_sim::{MemoryModel, RunConfig, SimStats, Simulator, TelemetryConfig};
 
 use crate::service::SweepService;
 
@@ -208,341 +199,6 @@ pub fn write_report(reps: u32) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One timed sharded-engine comparison. `speedup` follows the
-/// `BENCH_pr2.json` convention: wall-clock of the per-cycle reference loop
-/// over the engine under test.
-#[derive(Debug, Clone)]
-pub struct ShardMeasurement {
-    /// Scenario label.
-    pub name: String,
-    /// Shard count the epoch engine ran with.
-    pub shards: usize,
-    /// Simulated cycles per run (identical across engines by construction).
-    pub cycles: u64,
-    /// Best-of-reps wall seconds, sharded epoch engine.
-    pub sharded_s: f64,
-    /// Best-of-reps wall seconds, single-thread fast-forward engine — the
-    /// honest in-family comparison (sharding implies fast-forward stepping,
-    /// so any win over this number is genuine overlap, not dead-cycle
-    /// skipping).
-    pub fast_s: f64,
-    /// Best-of-reps wall seconds, per-cycle reference loop.
-    pub reference_s: f64,
-}
-
-impl ShardMeasurement {
-    /// Wall-clock speedup of the sharded engine over the reference loop.
-    pub fn speedup(&self) -> f64 {
-        self.reference_s / self.sharded_s
-    }
-
-    /// Wall-clock speedup of the sharded engine over single-thread
-    /// fast-forward (>1 only when free-run phases genuinely overlap).
-    pub fn speedup_vs_fast(&self) -> f64 {
-        self.fast_s / self.sharded_s
-    }
-}
-
-/// Time `kernel` under `cfg` on the sharded epoch engine at `shards`
-/// shards, against the per-cycle reference loop and the single-thread
-/// fast-forward engine. Panics if any engine's `SimStats` diverge — the
-/// bit-identity contract, re-checked on every benchmark run.
-pub fn measure_sharded(
-    name: &str,
-    kernel: &Kernel,
-    cfg: &RunConfig,
-    shards: usize,
-    reps: u32,
-) -> ShardMeasurement {
-    let mut walls = [f64::MAX; 3];
-    let mut stats = Vec::new();
-    let modes = [
-        cfg.clone().with_shards(Some(shards)),
-        cfg.clone().with_fast_forward(true),
-        cfg.clone().with_fast_forward(false),
-    ];
-    for (i, mode) in modes.into_iter().enumerate() {
-        let sim = Simulator::new(mode);
-        for _ in 0..reps.max(1) {
-            let t = Instant::now();
-            let s = sim.run(kernel);
-            walls[i] = walls[i].min(t.elapsed().as_secs_f64());
-            stats.push(s);
-        }
-    }
-    assert!(
-        stats.windows(2).all(|w| w[0] == w[1]),
-        "sharded/fast-forward/reference statistics diverged"
-    );
-    ShardMeasurement {
-        name: name.to_string(),
-        shards,
-        cycles: stats[0].cycles,
-        sharded_s: walls[0],
-        fast_s: walls[1],
-        reference_s: walls[2],
-    }
-}
-
-/// Shard counts for the suite: 2 and 4 (the equivalence-pinned points),
-/// plus the machine's available hardware threads when that differs.
-pub fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![2usize, 4];
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if !counts.contains(&cores) {
-        counts.push(cores);
-    }
-    counts
-}
-
-/// Run the sharded-engine suite: the primary dead-wait scenario and its
-/// event-memory-model variant (the acceptance scenario), each at every
-/// [`shard_counts`] point.
-pub fn run_shard_suite(reps: u32) -> Vec<ShardMeasurement> {
-    let kernel = scenario_kernel();
-    let primary = scenario_config();
-    let event = scenario_config_event();
-    let mut ms = Vec::new();
-    for shards in shard_counts() {
-        ms.push(measure_sharded(
-            "conv1-28/dram1600",
-            &kernel,
-            &primary,
-            shards,
-            reps,
-        ));
-        ms.push(measure_sharded(
-            "conv1-28/dram1600/event",
-            &kernel,
-            &event,
-            shards,
-            reps,
-        ));
-    }
-    ms
-}
-
-/// Serialize sharded measurements as the `BENCH_pr6.json` document
-/// (hand-rolled JSON; the offline serde shim has no serializer). `speedup`
-/// is vs the per-cycle reference loop, like `BENCH_pr2.json`.
-pub fn render_shard_report(ms: &[ShardMeasurement]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut s = format!(
-        "{{\n  \"bench\": \"perf_shards\",\n  \"primary\": \"conv1-28/dram1600/event\",\n  \"available_parallelism\": {cores},\n  \"scenarios\": [\n"
-    );
-    for (i, m) in ms.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shards\": {}, \"cycles\": {}, \"sharded_s\": {:.6}, \"fast_forward_s\": {:.6}, \"reference_s\": {:.6}, \"speedup\": {:.2}, \"speedup_vs_fast_forward\": {:.2}}}{}\n",
-            m.name,
-            m.shards,
-            m.cycles,
-            m.sharded_s,
-            m.fast_s,
-            m.reference_s,
-            m.speedup(),
-            m.speedup_vs_fast(),
-            if i + 1 == ms.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Execute the sharded suite, print a table, and write `BENCH_pr6.json`
-/// into the current directory.
-pub fn write_shard_report(reps: u32) -> std::io::Result<()> {
-    let ms = run_shard_suite(reps);
-    println!(
-        "{:<24} {:>6} {:>9} {:>10} {:>10} {:>10} {:>8} {:>8}",
-        "scenario", "shards", "cycles", "shard wall", "ff wall", "ref wall", "vs ref", "vs ff"
-    );
-    for m in &ms {
-        println!(
-            "{:<24} {:>6} {:>9} {:>9.4}s {:>9.4}s {:>9.4}s {:>7.2}x {:>7.2}x",
-            m.name,
-            m.shards,
-            m.cycles,
-            m.sharded_s,
-            m.fast_s,
-            m.reference_s,
-            m.speedup(),
-            m.speedup_vs_fast()
-        );
-    }
-    std::fs::write("BENCH_pr6.json", render_shard_report(&ms))?;
-    println!("wrote BENCH_pr6.json");
-    Ok(())
-}
-
-/// One timed supervision-overhead comparison: the same run plain and under
-/// a supervision feature (checkpointing, or panic recovery from an injected
-/// fault), with the statistics asserted bit-identical — the robustness
-/// layer's whole contract is that it is invisible in the results.
-#[derive(Debug, Clone)]
-pub struct SupervisionMeasurement {
-    /// Scenario label.
-    pub name: String,
-    /// Simulated cycles per run (identical in both modes by construction).
-    pub cycles: u64,
-    /// Best-of-reps wall seconds, supervision feature off.
-    pub plain_s: f64,
-    /// Best-of-reps wall seconds, supervision feature on.
-    pub supervised_s: f64,
-    /// Checkpoints written per supervised run.
-    pub checkpoints: u64,
-    /// Recovery-ladder hops per supervised run.
-    pub recoveries: usize,
-}
-
-impl SupervisionMeasurement {
-    /// Wall-clock cost of the feature: supervised over plain (≥ ~1.0).
-    pub fn overhead(&self) -> f64 {
-        self.supervised_s / self.plain_s
-    }
-}
-
-/// Time `plain` against `supervised` (same kernel), asserting bit-identical
-/// statistics. `fault` injects a fresh copy of the given fault points into
-/// every supervised rep.
-fn measure_supervised(
-    name: &str,
-    kernel: &Kernel,
-    plain: &RunConfig,
-    supervised: &RunConfig,
-    fault: Option<&[(u64, usize)]>,
-    reps: u32,
-) -> SupervisionMeasurement {
-    let mut plain_s = f64::MAX;
-    let mut supervised_s = f64::MAX;
-    let base_sim = Simulator::new(plain.clone());
-    let sup_sim = Simulator::new(supervised.clone());
-    let mut baseline = None;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let stats = base_sim.run(kernel);
-        plain_s = plain_s.min(t.elapsed().as_secs_f64());
-        baseline = Some(stats);
-    }
-    let baseline = baseline.expect("reps >= 1");
-    let mut checkpoints = 0;
-    let mut recoveries = 0;
-    for _ in 0..reps.max(1) {
-        // A fresh plan per rep: each fault fires once per supervised run.
-        let plan = fault.map(FaultPlan::at);
-        let t = Instant::now();
-        let report = match &plan {
-            Some(p) => sup_sim
-                .try_run_report_with_faults(kernel, p)
-                .expect("valid kernel"),
-            None => sup_sim.run_report(kernel),
-        };
-        supervised_s = supervised_s.min(t.elapsed().as_secs_f64());
-        assert_eq!(
-            report.stats, baseline,
-            "supervision changed the statistics in scenario {name}"
-        );
-        if let Some(p) = &plan {
-            assert_eq!(p.fired(), p.len(), "an injected fault never fired");
-        }
-        checkpoints = report.checkpoints;
-        recoveries = report.recoveries.len();
-    }
-    SupervisionMeasurement {
-        name: name.to_string(),
-        cycles: baseline.cycles,
-        plain_s,
-        supervised_s,
-        checkpoints,
-        recoveries,
-    }
-}
-
-/// Run the supervision-overhead suite: checkpointing on the primary
-/// event-model scenario (sequential and sharded) and a full
-/// rollback-and-degrade recovery from an injected worker panic.
-pub fn run_supervision_suite(reps: u32) -> Vec<SupervisionMeasurement> {
-    let kernel = scenario_kernel();
-    let event = scenario_config_event();
-    let sharded = event.clone().with_shards(Some(2));
-    vec![
-        measure_supervised(
-            "checkpoint-5k",
-            &kernel,
-            &event,
-            &event.clone().with_checkpoint_every(Some(5_000)),
-            None,
-            reps,
-        ),
-        measure_supervised(
-            "checkpoint-5k/shards2",
-            &kernel,
-            &sharded,
-            &sharded.clone().with_checkpoint_every(Some(5_000)),
-            None,
-            reps,
-        ),
-        measure_supervised(
-            "fault-recovery/shards2",
-            &kernel,
-            &sharded,
-            &sharded.clone().with_checkpoint_every(Some(5_000)),
-            Some(&[(10, 1)]),
-            reps,
-        ),
-    ]
-}
-
-/// Serialize supervision measurements as the `BENCH_pr7.json` document
-/// (hand-rolled JSON; the offline serde shim has no serializer).
-/// `stats_identical` is asserted, not sampled — a report only exists if
-/// every supervised run matched its plain twin bit for bit.
-pub fn render_supervision_report(ms: &[SupervisionMeasurement]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut s = format!(
-        "{{\n  \"bench\": \"perf_supervise\",\n  \"primary\": \"checkpoint-5k\",\n  \"available_parallelism\": {cores},\n  \"stats_identical\": true,\n  \"scenarios\": [\n"
-    );
-    for (i, m) in ms.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cycles\": {}, \"plain_s\": {:.6}, \"supervised_s\": {:.6}, \"overhead\": {:.3}, \"checkpoints\": {}, \"recoveries\": {}}}{}\n",
-            m.name,
-            m.cycles,
-            m.plain_s,
-            m.supervised_s,
-            m.overhead(),
-            m.checkpoints,
-            m.recoveries,
-            if i + 1 == ms.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Execute the supervision suite, print a table, and write `BENCH_pr7.json`
-/// into the current directory.
-pub fn write_supervision_report(reps: u32) -> std::io::Result<()> {
-    let ms = run_supervision_suite(reps);
-    println!(
-        "{:<24} {:>9} {:>10} {:>10} {:>9} {:>12} {:>10}",
-        "scenario", "cycles", "plain", "supervised", "overhead", "checkpoints", "recoveries"
-    );
-    for m in &ms {
-        println!(
-            "{:<24} {:>9} {:>9.4}s {:>9.4}s {:>8.3}x {:>12} {:>10}",
-            m.name,
-            m.cycles,
-            m.plain_s,
-            m.supervised_s,
-            m.overhead(),
-            m.checkpoints,
-            m.recoveries
-        );
-    }
-    std::fs::write("BENCH_pr7.json", render_supervision_report(&ms))?;
-    println!("wrote BENCH_pr7.json");
-    Ok(())
-}
-
 /// One timed telemetry-overhead comparison: the same run with tracing off
 /// and on, statistics asserted bit-identical (telemetry's whole contract
 /// is that it only observes).
@@ -589,7 +245,7 @@ pub fn measure_telemetry(
             .with_telemetry(Some(TelemetryConfig::default().with_sample_every(1000))),
     );
     // Time `run_report` on both sides so the ratio isolates *telemetry*:
-    // the report path itself (supervision bookkeeping, report assembly)
+    // the report path itself (watchdog bookkeeping, report assembly)
     // costs a few percent over `run`, and that cost exists with tracing
     // off too, so it must not be charged to the telemetry subsystem.
     let mut plain_s = f64::MAX;
@@ -752,51 +408,6 @@ mod tests {
             stats.idle_cycles
         );
         assert_eq!(stats.stall_cycles, 0);
-    }
-
-    #[test]
-    fn shard_measurement_math_and_json_shape() {
-        let m = ShardMeasurement {
-            name: "x".into(),
-            shards: 4,
-            cycles: 1000,
-            sharded_s: 0.25,
-            fast_s: 0.5,
-            reference_s: 2.0,
-        };
-        assert_eq!(m.speedup(), 8.0);
-        assert_eq!(m.speedup_vs_fast(), 2.0);
-        let json = render_shard_report(std::slice::from_ref(&m));
-        assert!(json.contains("\"bench\": \"perf_shards\""));
-        assert!(json.contains("\"shards\": 4"));
-        assert!(json.contains("\"speedup\": 8.00"));
-        assert!(json.contains("\"speedup_vs_fast_forward\": 2.00"));
-        assert!(json.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn shard_counts_cover_the_pinned_points() {
-        let counts = shard_counts();
-        assert!(counts.contains(&2) && counts.contains(&4));
-    }
-
-    #[test]
-    fn supervision_measurement_math_and_json_shape() {
-        let m = SupervisionMeasurement {
-            name: "x".into(),
-            cycles: 1000,
-            plain_s: 0.5,
-            supervised_s: 0.6,
-            checkpoints: 7,
-            recoveries: 1,
-        };
-        assert!((m.overhead() - 1.2).abs() < 1e-9);
-        let json = render_supervision_report(std::slice::from_ref(&m));
-        assert!(json.contains("\"bench\": \"perf_supervise\""));
-        assert!(json.contains("\"stats_identical\": true"));
-        assert!(json.contains("\"checkpoints\": 7"));
-        assert!(json.contains("\"recoveries\": 1"));
-        assert!(json.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Canonical content hashing of sweep jobs.
 //!
-//! A job's identity is the pair `(RunConfig, Kernel)` plus any fault plan
-//! riding along; [`job_key`] folds every semantic field of all three into a
-//! stable 128-bit [`ConfigHash`]. Because each simulation is a pure
+//! A job's identity is the pair `(RunConfig, Kernel)`; [`job_key`] folds
+//! every semantic field of both into a stable 128-bit [`ConfigHash`].
+//! Because each simulation is a pure
 //! function of exactly these inputs (the determinism suites pin this
 //! bit-for-bit), two jobs with equal keys *must* produce identical
 //! [`grs_sim::RunReport`]s — which is what makes exact memoization sound.
@@ -17,11 +17,11 @@
 //!   wrong result; a compile error is the cheap way to make that
 //!   impossible.
 //! * **Everything is semantic.** Even knobs proven stats-invariant
-//!   (`fast_forward`, `telemetry`, `checkpoint_every`, `shards`) are
-//!   hashed: the memoized artifact is the whole `RunReport` — checkpoint
-//!   counts, recovery trails, telemetry — and those *do* depend on the
-//!   knobs. Keying conservatively costs a re-simulation; keying loosely
-//!   could hand a telemetry-less report to a telemetry-on submission.
+//!   (`fast_forward`, `telemetry`, `watchdog`) are hashed: the memoized
+//!   artifact is the whole `RunReport` — outcome, telemetry — and those
+//!   *do* depend on the knobs. Keying conservatively costs a
+//!   re-simulation; keying loosely could hand a telemetry-less report to a
+//!   telemetry-on submission.
 //! * **Stable by construction.** The mixing function is a fixed SplitMix64
 //!   chain over two lanes — no `std::hash` machinery whose output may
 //!   change across releases — so keys are reproducible across processes
@@ -36,13 +36,17 @@
 //! (e.g. `shrink_grid` for `--quick` runs), which a spec-only key would
 //! alias.
 
+use std::convert::Infallible;
+
 use grs_core::{GpuConfig, LatencyConfig, MemConfig, SchedulerKind, SmConfig};
 use grs_isa::{GlobalPattern, Instr, Kernel, Op, Program};
-use grs_sim::{FaultPlan, MemoryModel, RunConfig, SharingMode, TelemetryConfig};
+use grs_sim::{MemoryModel, RunConfig, SharingMode, TelemetryConfig};
 
 /// Bump when the hashing scheme itself changes (field order, encoding), so
 /// persisted keys from an older scheme can never alias a newer one.
-const KEY_VERSION: u64 = 1;
+/// Version 2 dropped the `shards` and `checkpoint_every` fields and the
+/// fault-plan suffix.
+const KEY_VERSION: u64 = 2;
 
 /// Canonical 128-bit identity of a sweep job. Equal keys mean equal
 /// simulation inputs; the service's memo store and in-flight table are both
@@ -343,8 +347,6 @@ pub fn hash_config(h: &mut StableHasher, cfg: &RunConfig) {
         reorder_decls,
         fast_forward,
         memory_model,
-        shards,
-        checkpoint_every,
         telemetry,
         watchdog,
         max_cycles,
@@ -364,8 +366,6 @@ pub fn hash_config(h: &mut StableHasher, cfg: &RunConfig) {
         MemoryModel::Functional => 0,
         MemoryModel::Event => 1,
     });
-    h.write_opt_u64(shards.map(|s| s as u64));
-    h.write_opt_u64(*checkpoint_every);
     match telemetry {
         None => h.write_u64(0),
         Some(TelemetryConfig {
@@ -381,25 +381,15 @@ pub fn hash_config(h: &mut StableHasher, cfg: &RunConfig) {
     h.write_u64(*max_cycles);
 }
 
-/// The canonical key of a sweep job: configuration + kernel content + the
-/// fault plan's scheduled points (a plan's *fired* state is runtime, not
-/// identity — two fresh plans with equal points are the same job).
-pub fn job_key(cfg: &RunConfig, kernel: &Kernel, faults: Option<&FaultPlan>) -> ConfigHash {
+/// The canonical key of a sweep job: configuration + kernel content.
+///
+/// The third parameter is uninhabited, so only `None` can be passed. It
+/// once carried a fault plan and stays only because the `perfbench/`
+/// package calls `job_key(&cfg, &kernel, None)`.
+pub fn job_key(cfg: &RunConfig, kernel: &Kernel, _: Option<&Infallible>) -> ConfigHash {
     let mut h = StableHasher::new();
     hash_config(&mut h, cfg);
     hash_kernel(&mut h, kernel);
-    match faults {
-        None => h.write_u64(0),
-        Some(plan) => {
-            let points = plan.points();
-            h.write_u64(1);
-            h.write_u64(points.len() as u64);
-            for (epoch, shard) in points {
-                h.write_u64(epoch);
-                h.write_u64(shard as u64);
-            }
-        }
-    }
     h.finish()
 }
 
@@ -430,21 +420,6 @@ mod tests {
         let key = job_key(&cfg, &k, None);
         assert_eq!(key, job_key(&cfg, &k, None));
         assert_eq!(format!("{key}").len(), 32, "128-bit hex rendering");
-    }
-
-    #[test]
-    fn fault_plan_identity_is_its_points() {
-        let (cfg, k) = base();
-        let a = FaultPlan::at(&[(3, 1)]);
-        let b = FaultPlan::at(&[(3, 1)]);
-        assert_eq!(
-            job_key(&cfg, &k, Some(&a)),
-            job_key(&cfg, &k, Some(&b)),
-            "two fresh plans with equal points are the same job"
-        );
-        assert_ne!(job_key(&cfg, &k, None), job_key(&cfg, &k, Some(&a)));
-        let c = FaultPlan::at(&[(3, 2)]);
-        assert_ne!(job_key(&cfg, &k, Some(&a)), job_key(&cfg, &k, Some(&c)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! resubmission of the same job is answered without touching the simulator.
 //! Failures are memoized too: the simulator is deterministic, so a config
 //! that yields `RunError::KernelDoesNotFit` yields it every time — caching
-//! the error saves the doomed retry ladder on resubmission.
+//! the error saves re-running the doomed job on resubmission.
 //!
 //! Recency is tracked with a lazy-stamp queue: every hit pushes a fresh
 //! `(key, stamp)` pair instead of splicing the old one out, and eviction
@@ -134,9 +134,6 @@ mod tests {
     fn outcome(tag: &str) -> Arc<JobOutcome> {
         Arc::new(JobOutcome {
             report: Err(tag.to_string()),
-            attempts: 1,
-            recovered_panic: false,
-            first_error: None,
         })
     }
 

@@ -1,9 +1,9 @@
 //! # Sweep service: persistent job queue with content-hash memoization
 //!
 //! Every simulation request in the bench harness flows through one of
-//! these: a submission is a `(RunConfig, Kernel)` pair (plus an optional
-//! [`FaultPlan`]), keyed by the canonical [`ConfigHash`] over *every*
-//! semantic field of both ([`hash`]). The pipeline is
+//! these: a submission is a `(RunConfig, Kernel)` pair, keyed by the
+//! canonical [`ConfigHash`] over *every* semantic field of both
+//! ([`hash`]). The pipeline is
 //!
 //! ```text
 //!   submit ──▶ job_key ──▶ memo store ──hit──▶ resolved JobHandle
@@ -12,8 +12,8 @@
 //!           in-flight table ──hit──▶ attached JobHandle (shared cell)
 //!                 │            miss
 //!                 ▼
-//!           pending queue ──▶ worker pool ──▶ supervision ladder
-//!                                   │    (checkpoint/watchdog/degrade)
+//!           pending queue ──▶ worker pool ──▶ catch_unwind + watchdog
+//!                                   │
 //!                                   ▼
 //!                           memoize + resolve cell
 //! ```
@@ -21,11 +21,11 @@
 //! The load-bearing invariant: **the simulator is deterministic, so
 //! memoization is exact.** Equal keys mean equal inputs, equal inputs mean
 //! bit-identical [`RunReport`]s (the determinism suites pin this across
-//! engines, shard counts, and memory models), so answering a resubmission
-//! from the memo store is indistinguishable from re-running it — modulo
+//! engines and memory models), so answering a resubmission from the memo
+//! store is indistinguishable from re-running it — modulo
 //! the saved CPU-hours. The same argument covers in-flight dedup: a late
 //! subscriber to a running job attaches to the first submission's
-//! [`JobCell`](queue::JobCell) and receives the one shared outcome.
+//! `JobCell` and receives the one shared outcome.
 //!
 //! The queue is *persistent* at process scope: [`SweepService::global`]
 //! hands out one process-wide instance that [`crate::run_all`] /
@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use grs_isa::Kernel;
-use grs_sim::{FaultPlan, RunConfig, RunReport, ServiceStats};
+use grs_sim::{RunConfig, RunReport, ServiceStats};
 
 pub use hash::{job_key, ConfigHash};
 
@@ -53,16 +53,9 @@ use queue::{JobCell, Shared, State, Task};
 /// subscriber and by the memo store.
 #[derive(Debug)]
 pub struct JobOutcome {
-    /// The supervised run's report, or the last attempt's error rendering.
+    /// The supervised run's report, or the rendering of its `RunError` or
+    /// panic.
     pub report: Result<Arc<RunReport>, String>,
-    /// Simulation attempts made (1, or 2 after the sequential retry).
-    pub attempts: u32,
-    /// The first attempt failed but the sequential-engine retry succeeded;
-    /// [`Self::first_error`] holds the original failure.
-    pub recovered_panic: bool,
-    /// The first attempt's error when a retry happened (whether or not the
-    /// retry succeeded), `None` on a clean first attempt.
-    pub first_error: Option<String>,
 }
 
 /// How a submission was answered — the service's visible dedup decision.
@@ -181,24 +174,7 @@ impl SweepService {
     /// job was queued, attached to an identical in-flight run, or answered
     /// from the memo store is on [`JobHandle::source`].
     pub fn submit(&self, cfg: RunConfig, kernel: Kernel) -> JobHandle {
-        self.submit_inner(cfg, kernel, None)
-    }
-
-    /// [`Self::submit`] with a deterministic fault plan riding along. The
-    /// plan's scheduled points are part of the job key, so a faulted job
-    /// and its undisturbed twin memoize separately — each [`RunReport`]
-    /// keeps its own recovery trail.
-    pub fn submit_with_faults(
-        &self,
-        cfg: RunConfig,
-        kernel: Kernel,
-        faults: FaultPlan,
-    ) -> JobHandle {
-        self.submit_inner(cfg, kernel, Some(faults))
-    }
-
-    fn submit_inner(&self, cfg: RunConfig, kernel: Kernel, faults: Option<FaultPlan>) -> JobHandle {
-        let key = job_key(&cfg, &kernel, faults.as_ref());
+        let key = job_key(&cfg, &kernel, None);
         let mut state = self.shared.state.lock().unwrap();
         state.stats.submitted += 1;
         if let Some(outcome) = state.memo.get(&key) {
@@ -221,12 +197,7 @@ impl SweepService {
         }
         let cell = Arc::new(JobCell::new());
         state.inflight.insert(key, Arc::clone(&cell));
-        state.pending.push_back(Task {
-            key,
-            cfg,
-            kernel,
-            faults,
-        });
+        state.pending.push_back(Task { key, cfg, kernel });
         drop(state);
         self.shared.work.notify_one();
         JobHandle {
@@ -248,22 +219,14 @@ impl SweepService {
         handles
             .into_iter()
             .map(|(label, h)| {
-                let o = h.wait();
-                match &o.report {
-                    Ok(report) => crate::JobResult {
-                        label,
-                        stats: Some(report.stats.clone()),
-                        attempts: o.attempts,
-                        recovered: o.recovered_panic,
-                        error: o.first_error.clone(),
-                    },
-                    Err(e) => crate::JobResult {
-                        label,
-                        stats: None,
-                        attempts: o.attempts,
-                        recovered: false,
-                        error: Some(e.clone()),
-                    },
+                let (stats, error) = match &h.wait().report {
+                    Ok(report) => (Some(report.stats.clone()), None),
+                    Err(e) => (None, Some(e.clone())),
+                };
+                crate::JobResult {
+                    label,
+                    stats,
+                    error,
                 }
             })
             .collect()
@@ -308,9 +271,6 @@ impl Drop for SweepService {
                 .map(|task| {
                     let outcome = Arc::new(JobOutcome {
                         report: Err("sweep service shut down before the job ran".to_string()),
-                        attempts: 0,
-                        recovered_panic: false,
-                        first_error: None,
                     });
                     (state.inflight.remove(&task.key), outcome)
                 })

@@ -11,7 +11,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
 use grs_isa::Kernel;
-use grs_sim::{FaultPlan, RunConfig, ServiceStats};
+use grs_sim::{RunConfig, ServiceStats};
 
 use super::hash::ConfigHash;
 use super::memo::MemoStore;
@@ -23,7 +23,6 @@ pub(super) struct Task {
     pub key: ConfigHash,
     pub cfg: RunConfig,
     pub kernel: Kernel,
-    pub faults: Option<FaultPlan>,
 }
 
 /// The rendezvous point between a job's executor and its subscribers: a

@@ -69,22 +69,13 @@ fn event_parts(e: &TelemetryEvent) -> (&'static str, String) {
             if gated { "gated_sleep" } else { "sleep" },
             format!("{{\"until\":{until},\"gated\":{gated}}}"),
         ),
-        TelemetryEvent::EpochCommit => ("epoch_commit", "{}".to_string()),
         TelemetryEvent::MshrFill { part } => ("mshr_fill", format!("{{\"part\":{part}}}")),
         TelemetryEvent::MshrMerge { part } => ("mshr_merge", format!("{{\"part\":{part}}}")),
         TelemetryEvent::DramAdmit { part } => ("dram_admit", format!("{{\"part\":{part}}}")),
         TelemetryEvent::DramService { part } => ("dram_service", format!("{{\"part\":{part}}}")),
-        TelemetryEvent::CheckpointCut => ("checkpoint", "{}".to_string()),
         TelemetryEvent::WatermarkUpdate { watermark } => {
             ("watermark", format!("{{\"watermark\":{watermark}}}"))
         }
-        TelemetryEvent::Recovery {
-            from_shards,
-            to_shards,
-        } => (
-            "recovery",
-            format!("{{\"from_shards\":{from_shards},\"to_shards\":{to_shards}}}"),
-        ),
     }
 }
 

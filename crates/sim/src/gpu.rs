@@ -51,13 +51,10 @@ use crate::sm::{Sm, SmMode};
 use crate::stats::SimStats;
 use crate::telemetry::{MemTelemetry, SmTelemetry, TelemetryConfig};
 
-/// Engine-loop state carried between [`Gpu::run_until`] spans: the per-SM
-/// wake/sleep bookkeeping plus the clock. Splitting it out of the run loop
-/// is what makes checkpoint/resume possible — a [`Snapshot`] is exactly
-/// `(cloned Gpu, cloned EngineState)`, and resuming a span from either a
-/// fresh [`Gpu::start`] or a restored snapshot is bit-identical to a
-/// straight run (the loop body never reads anything else).
-#[derive(Debug, Clone)]
+/// Engine-loop state of a run: the per-SM wake/sleep bookkeeping plus the
+/// clock. Kept outside the run loop so the supervisor can read it for the
+/// watchdog's diagnosis and hand it to [`Gpu::finish`].
+#[derive(Debug)]
 pub struct EngineState {
     /// Per-SM wake-up cycle (`u64::MAX`: empty, nothing can ever wake it).
     pub(crate) wake_at: Vec<u64>,
@@ -79,7 +76,7 @@ impl EngineState {
     }
 }
 
-/// How a bounded [`Gpu::run_until`] span ended.
+/// How a [`Gpu::run_until`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanEnd {
     /// The grid drained.
@@ -92,26 +89,8 @@ pub enum SpanEnd {
     Stalled,
 }
 
-/// Deep-copy checkpoint of a run in flight: the complete deterministic
-/// state — per-SM warp/slot/wheel state, event-model MSHR/DRAM partition
-/// tables, dispatcher, throttle RNG streams — plus the engine-loop
-/// bookkeeping. Restoring and running to completion is bit-identical to
-/// never having stopped ([`crate::run::RunConfig::checkpoint_every`]).
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    gpu: Gpu,
-    engine: EngineState,
-}
-
-impl Snapshot {
-    /// Cycle the checkpoint resumes at.
-    pub fn cycle(&self) -> u64 {
-        self.engine.cycle
-    }
-}
-
 /// A configured GPU mid-simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Gpu {
     /// The SM array.
     pub sms: Vec<Sm>,
@@ -230,22 +209,6 @@ impl Gpu {
         }
     }
 
-    /// Deep-copy checkpoint of the machine and engine state as they stand.
-    pub fn snapshot(&self, engine: &EngineState) -> Snapshot {
-        Snapshot {
-            gpu: self.clone(),
-            engine: engine.clone(),
-        }
-    }
-
-    /// Overwrite this machine with `snap`'s state and return the engine
-    /// state to resume from. The snapshot is reusable (recovery may restore
-    /// it more than once).
-    pub fn restore(&mut self, snap: &Snapshot) -> EngineState {
-        *self = snap.gpu.clone();
-        snap.engine.clone()
-    }
-
     /// Earliest cycle at which the machine provably cannot make progress
     /// any more: the latest issue plus the latest event ever scheduled on
     /// any wheel (SM writebacks, memory capacity releases). Strictly past
@@ -262,10 +225,7 @@ impl Gpu {
 
     /// Run from `st.cycle` until the grid completes, `stop` arrives, or —
     /// with `watchdog: Some(w)` — a window of `w` cycles elapses past the
-    /// progress watermark (livelock; see [`Self::progress_watermark`]).
-    /// Stopping and resuming at any cycle is bit-identical to a straight
-    /// run: the boundary evaluation is a no-op (no SM is due before its
-    /// wake-up, and the throttle's lazy crediting is path-independent).
+    /// progress watermark (livelock; see `Gpu::progress_watermark`).
     pub fn run_until(
         &mut self,
         st: &mut EngineState,

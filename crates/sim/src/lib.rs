@@ -15,11 +15,9 @@
 //! and when no SM can make progress the run loop fast-forwards the clock to
 //! the next writeback while crediting the skipped span to the same idle /
 //! empty counters the per-cycle loop would have produced — statistics are
-//! bit-identical with [`RunConfig::fast_forward`] on or off. On top of
-//! that, [`RunConfig::shards`] runs the SM array on worker threads with an
-//! epoch-batched commit protocol ([`shard`]) that keeps every shared-state
-//! interaction in the sequential engine's canonical order — statistics stay
-//! bit-identical for any shard count.
+//! bit-identical with [`RunConfig::fast_forward`] on or off. Every run goes
+//! through the [`supervise`] layer: one engine loop under the optional
+//! forward-progress watchdog, returning a [`RunReport`].
 //!
 //! Global-memory timing comes in two selectable models
 //! ([`RunConfig::memory_model`]): the default **functional** model computes
@@ -63,7 +61,6 @@ pub mod mem;
 pub mod rng;
 pub mod run;
 pub mod server;
-pub mod shard;
 pub mod sm;
 pub mod stats;
 pub mod supervise;
@@ -74,9 +71,7 @@ pub mod wheel;
 pub use mem::MemoryModel;
 pub use run::{RunConfig, SharingMode, Simulator};
 pub use stats::{MemStats, SimStats, SmStats};
-pub use supervise::{
-    FaultPlan, MemDiag, RecoveryEvent, RunOutcome, RunReport, ServiceStats, SmDiag, StallDiagnosis,
-};
+pub use supervise::{MemDiag, RunOutcome, RunReport, ServiceStats, SmDiag, StallDiagnosis};
 pub use telemetry::{
     MemSampleRow, SampleRow, StallReason, TelemetryConfig, TelemetryEvent, TelemetryReport,
     TraceRecord, Track, TrackStats,

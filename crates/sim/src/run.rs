@@ -11,7 +11,7 @@ use crate::gpu::Gpu;
 use crate::kinfo::KernelInfo;
 use crate::mem::MemoryModel;
 use crate::stats::SimStats;
-use crate::supervise::{FaultPlan, RunReport};
+use crate::supervise::RunReport;
 use crate::telemetry::TelemetryConfig;
 
 /// Whether (and which) resource sharing is active for a run.
@@ -92,29 +92,12 @@ pub struct RunConfig {
     /// per-partition L2 banks with finite MSHR tables and bounded DRAM
     /// queues whose back-pressure gates SM issue.
     pub memory_model: MemoryModel,
-    /// Shard the SM array across this many worker threads using the
-    /// epoch-batched commit protocol (see the `grs_sim::shard` module docs).
-    /// `None` (the default) runs the sequential engine. Results are
-    /// **bit-identical** for any shard count — sharding is purely a
-    /// wall-clock optimization, pinned by `tests/shard_equivalence.rs`.
-    /// A count of 0 or 1, or a single-SM machine, degrades to the epoch
-    /// engine on one thread. Sharding implies the event-driven fast-forward
-    /// stepping rules internally regardless of [`Self::fast_forward`] (the
-    /// two are bit-identical, so this is unobservable in the statistics).
-    pub shards: Option<usize>,
-    /// Snapshot the complete machine state every this many cycles (see the
-    /// `grs_sim::supervise` module docs). `None` (the default) never
-    /// checkpoints mid-run. Checkpointing is unobservable in the
-    /// statistics — resuming from any snapshot is bit-identical to the
-    /// straight run, pinned by `tests/checkpoint_resume.rs` — and is what
-    /// the sharded engine's panic recovery rolls back to.
-    pub checkpoint_every: Option<u64>,
     /// Cycle-level telemetry: structured event tracing and periodic metric
     /// sampling (see the [`crate::telemetry`] module docs). `None` (the
     /// default) records nothing and adds no per-cycle work. Tracing is
     /// **observation-only**: [`SimStats`] are bit-identical with telemetry
     /// on or off, pinned by `tests/telemetry.rs` across the full scheduler ×
-    /// sharing × memory-model matrix on all three engines.
+    /// sharing × memory-model matrix on both engines.
     pub telemetry: Option<TelemetryConfig>,
     /// Forward-progress watchdog window, in cycles. If the run reaches a
     /// cycle at least this far past the last provable progress (an issued
@@ -144,8 +127,6 @@ impl RunConfig {
             reorder_decls: false,
             fast_forward: true,
             memory_model: MemoryModel::Functional,
-            shards: None,
-            checkpoint_every: None,
             telemetry: None,
             watchdog: None,
             max_cycles: Self::DEFAULT_MAX_CYCLES,
@@ -233,20 +214,6 @@ impl RunConfig {
     /// Replace the memory model (`Functional` by default).
     pub fn with_memory_model(mut self, m: MemoryModel) -> Self {
         self.memory_model = m;
-        self
-    }
-
-    /// Shard the SM array across `n` worker threads (`None` = sequential;
-    /// see [`Self::shards`]).
-    pub fn with_shards(mut self, n: Option<usize>) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// Checkpoint the machine state every `c` cycles (`None` = never; see
-    /// [`Self::checkpoint_every`]).
-    pub fn with_checkpoint_every(mut self, c: Option<u64>) -> Self {
-        self.checkpoint_every = c;
         self
     }
 
@@ -345,35 +312,16 @@ impl Simulator {
 
     /// Simulate `kernel`; returns statistics or a configuration error.
     ///
-    /// Equivalent to [`Self::try_run_report`] with the outcome and recovery
-    /// metadata discarded.
+    /// Equivalent to [`Self::try_run_report`] with the outcome and
+    /// telemetry discarded.
     pub fn try_run(&self, kernel: &Kernel) -> Result<SimStats, RunError> {
         self.try_run_report(kernel).map(|r| r.stats)
     }
 
-    /// Simulate `kernel` under supervision; returns the full
-    /// [`RunReport`] (statistics plus outcome, recovery events and
-    /// checkpoint count) or a configuration error.
+    /// Simulate `kernel` under the watchdog; returns the full
+    /// [`RunReport`] (statistics plus outcome and telemetry) or a
+    /// configuration error.
     pub fn try_run_report(&self, kernel: &Kernel) -> Result<RunReport, RunError> {
-        self.try_run_report_with(kernel, None)
-    }
-
-    /// [`Self::try_run_report`] with a deterministic [`FaultPlan`]
-    /// injecting worker panics into the sharded engine — the test entry
-    /// point that proves the recovery path yields bit-identical statistics.
-    pub fn try_run_report_with_faults(
-        &self,
-        kernel: &Kernel,
-        faults: &FaultPlan,
-    ) -> Result<RunReport, RunError> {
-        self.try_run_report_with(kernel, Some(faults))
-    }
-
-    fn try_run_report_with(
-        &self,
-        kernel: &Kernel,
-        faults: Option<&FaultPlan>,
-    ) -> Result<RunReport, RunError> {
         grs_isa::validate(kernel).map_err(RunError::InvalidKernel)?;
         if kernel.regs_per_thread > 64 {
             return Err(RunError::TooManyRegisters {
@@ -396,14 +344,11 @@ impl Simulator {
             self.cfg.scheduler,
             self.cfg.dyn_throttle,
             self.cfg.sharing.resource(),
-            // The sharded engine free-runs SMs between interaction points,
-            // which is exactly the fast-forward stepping discipline — force
-            // the incremental scan on (bit-identical either way).
-            self.cfg.fast_forward || self.cfg.shards.is_some(),
+            self.cfg.fast_forward,
             self.cfg.memory_model,
             self.cfg.telemetry,
         );
-        Ok(crate::supervise::supervise(&self.cfg, gpu, &kinfo, faults))
+        Ok(crate::supervise::supervise(&self.cfg, gpu, &kinfo))
     }
 
     /// Simulate `kernel`; panics on configuration errors (convenience for
@@ -412,7 +357,7 @@ impl Simulator {
         self.try_run(kernel).expect("simulation failed")
     }
 
-    /// Simulate `kernel` under supervision; panics on configuration errors.
+    /// Simulate `kernel` under the watchdog; panics on configuration errors.
     pub fn run_report(&self, kernel: &Kernel) -> RunReport {
         self.try_run_report(kernel).expect("simulation failed")
     }

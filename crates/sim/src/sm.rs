@@ -223,8 +223,7 @@ pub struct Sm {
     /// engine (dirty tracking, idle shortcut) against it.
     incremental: bool,
     /// Telemetry recording state (`None` unless tracing is on). Boxed so the
-    /// disabled case costs one pointer; cloned with the SM, so snapshots,
-    /// restores and shard hand-offs carry the buffers automatically.
+    /// disabled case costs one pointer.
     telemetry: Option<Box<SmTelemetry>>,
     /// Current stall reason per warp slot (0 = none, 1 = scoreboard,
     /// 2 = barrier, 3 = memory gate), maintained by [`Sm::set_reason`] so
@@ -472,14 +471,6 @@ impl Sm {
         self.telemetry.take().map(|b| *b)
     }
 
-    /// Record an engine-level event on this SM's track (used by the sharded
-    /// engine to stamp epoch commits). No-op when tracing is off.
-    pub(crate) fn record_event(&mut self, cycle: u64, event: TelemetryEvent) {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.record(cycle, event);
-        }
-    }
-
     /// Launch grid block `grid_id` into the first free slot at cycle `now`.
     /// Panics if no slot is free (callers check [`Self::has_free_slot`]).
     pub fn launch_block(&mut self, grid_id: u32, kinfo: &KernelInfo, now: u64) {
@@ -521,45 +512,6 @@ impl Sm {
         self.stats.max_resident_blocks = self.stats.max_resident_blocks.max(self.live_blocks());
     }
 
-    /// Would stepping this SM at `now` possibly touch cross-SM shared state
-    /// (the shared memory system or the grid dispatcher)? This is the
-    /// **park predicate** of the sharded epoch engine
-    /// ([`crate::shard`]): a shard free-runs an SM against a stub memory
-    /// system only while this returns false, and hands it to the canonical
-    /// commit phase the moment it returns true.
-    ///
-    /// The check drains due writebacks first (idempotent — the eventual
-    /// [`Self::step`] at `now` re-drains as a no-op) and then inspects every
-    /// live warp side-effect-free. Two instruction classes interact:
-    ///
-    /// * a **global-memory candidate** — not at a barrier, no scoreboard
-    ///   hazard, under the per-warp MSHR limit: its evaluation consults the
-    ///   issue gate (with per-cycle stall counters and, if it issues, real
-    ///   L2/DRAM traffic and throttle RNG draws);
-    /// * a **ready exit** — scoreboard and memory drained: issuing it can
-    ///   complete the block and pull the next one from the dispatcher.
-    ///
-    /// Everything else (ALU, scratchpad, barriers, branches, pair-lock
-    /// traffic, warps blocked on hazards/barriers/`max_pending`) reads and
-    /// writes SM-local state only, so those cycles commute with other SMs'
-    /// commits. The predicate is deliberately conservative: parking a
-    /// non-interacting cycle is only a performance loss, never a
-    /// correctness one.
-    pub fn wants_commit(&mut self, now: u64, kinfo: &KernelInfo, max_pending: u32) -> bool {
-        self.drain_writebacks(now);
-        self.warps.iter().flatten().any(|w| {
-            if w.finished || w.at_barrier {
-                return false;
-            }
-            let meta = &kinfo.meta[w.pc as usize];
-            if meta.is_global_mem() {
-                !w.has_hazard(meta.op_mask) && w.outstanding_mem < max_pending
-            } else {
-                meta.is_exit() && w.outstanding_mem == 0 && w.pending_regs == 0
-            }
-        })
-    }
-
     /// Advance one cycle.
     pub fn step(
         &mut self,
@@ -570,9 +522,8 @@ impl Sm {
         throttle: &mut DynThrottle,
         dispatcher: &mut Dispatcher,
     ) -> StepOutcome {
-        // Same-cycle tie-break (load-bearing for gated-sleep wake-ups and
-        // the sharded commit order, pinned by
-        // `capacity_release_is_visible_exactly_at_its_cycle`): the SM's own
+        // Same-cycle tie-break (load-bearing for gated-sleep wake-ups, pinned
+        // by `capacity_release_is_visible_exactly_at_its_cycle`): the SM's own
         // writebacks drain FIRST, then capacity releases due at `now` settle,
         // and only then is the gate read — so an SM woken at `now` by a
         // release observes both its drained scoreboard and the freed

@@ -218,10 +218,7 @@ impl SimStats {
     }
 
     /// Roll per-SM counters (in SM-id order) and the shared-memory counters
-    /// into whole-run statistics. Both execution engines — the sequential
-    /// loop and the sharded epoch loop — build their result through this one
-    /// function, so the sharded path cannot drift from the sequential one in
-    /// how counters are folded (the bit-identity the equivalence suite pins).
+    /// into whole-run statistics.
     pub fn aggregate<'a, I>(cycles: u64, timed_out: bool, mem: MemStats, sms: I) -> SimStats
     where
         I: IntoIterator<Item = &'a SmStats>,

@@ -1,21 +1,5 @@
-//! Supervised execution: checkpoint/resume, the forward-progress watchdog,
-//! panic recovery with graceful degradation, and deterministic fault
-//! injection.
-//!
-//! ## Checkpoint/resume
-//!
-//! A [`crate::gpu::Snapshot`] is a deep copy of the whole deterministic
-//! machine — per-SM warp/slot/wheel state, event-model MSHR/DRAM partition
-//! tables, dispatcher, throttle RNG streams — plus the engine-loop
-//! bookkeeping ([`crate::gpu::EngineState`]). With
-//! [`crate::run::RunConfig::checkpoint_every`] set, the supervisor runs the
-//! simulation as a sequence of bounded spans and snapshots at each
-//! boundary; restoring any snapshot and running on is **bit-identical** to
-//! a straight run (`tests/checkpoint_resume.rs` pins this across the
-//! scheduler × sharing × memory-model matrix). The boundary itself is
-//! unobservable: no SM steps before its wake-up cycle and the throttle's
-//! lazy crediting is path-independent, so re-entering the loop at the stop
-//! cycle replays nothing and skips nothing.
+//! Supervised execution: the forward-progress watchdog and the
+//! [`RunReport`] every run returns.
 //!
 //! ## Watchdog
 //!
@@ -25,141 +9,20 @@
 //! ([`crate::run::RunConfig::watchdog`]) trips when a full window of `w`
 //! cycles elapses past the *progress watermark* — the latest issue and the
 //! latest event ever scheduled on any timing wheel
-//! ([`crate::gpu::Gpu::progress_watermark`]). Past the watermark every
-//! wheel is provably empty and no warp state can ever change, so the trip
-//! is a proof of livelock, not a guess; and because the watermark's inputs
-//! are engine-invariant, the per-cycle, fast-forward and sharded engines
-//! all trip at the same cycle with bit-identical statistics. The run ends
-//! with a populated [`StallDiagnosis`] in the [`RunReport`].
-//!
-//! ## Panic recovery and the degradation ladder
-//!
-//! Sharded workers free-run under `catch_unwind` with poisoned-barrier
-//! escape (see [`crate::shard`]). A faulted span never corrupts the run:
-//! the supervisor restores the most recent snapshot (sharded runs always
-//! keep at least the pristine post-launch state), halves the shard count —
-//! `n → n/2 → … → 1 → sequential` — and replays. Replay is deterministic,
-//! so the recovered run's statistics are bit-identical to an undisturbed
-//! one (`tests/fault_injection.rs`). Every hop is recorded as a
-//! [`RecoveryEvent`] in the report; after [`MAX_RECOVERIES`] the supervisor
-//! forces the sequential engine, which has no worker threads and cannot
-//! fault.
-//!
-//! ## Fault injection
-//!
-//! A [`FaultPlan`] names `(epoch, shard)` points at which a shard's
-//! free-run phase panics on purpose, either from an explicit list or a
-//! seeded xorshift draw. Each fault fires exactly once, in threaded and
-//! inline (`GRS_SHARD_THREADS=never`) modes alike, which is what lets the
-//! test suite prove the recovery path end to end.
+//! (`Gpu::progress_watermark`). Past the watermark every wheel is provably
+//! empty and no warp state can ever change, so the trip is a proof of
+//! livelock, not a guess; and because the watermark's inputs are
+//! engine-invariant, the per-cycle and fast-forward engines trip at the
+//! same cycle with bit-identical statistics. The run ends with a populated
+//! [`StallDiagnosis`] in the [`RunReport`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::convert::Infallible;
 
-use crate::gpu::{EngineState, Gpu, Snapshot, SpanEnd};
+use crate::gpu::{EngineState, Gpu, SpanEnd};
 use crate::kinfo::KernelInfo;
 use crate::run::RunConfig;
-use crate::shard::{run_sharded_span, ShardSpanEnd};
 use crate::stats::SimStats;
 use crate::telemetry::{assemble, Ring, TelemetryEvent, TelemetryReport};
-
-/// Recovery attempts after which the supervisor stops degrading gradually
-/// and forces the sequential engine outright.
-pub const MAX_RECOVERIES: usize = 16;
-
-/// One deterministic injected fault: the worker servicing `shard` panics at
-/// the start of parallel free-run phase number `epoch`.
-#[derive(Debug)]
-struct Fault {
-    epoch: u64,
-    shard: usize,
-    fired: AtomicBool,
-}
-
-/// A deterministic schedule of injected worker panics, for exercising the
-/// recovery path ([`crate::run::Simulator::try_run_report_with_faults`]).
-/// Each fault fires at most once across the whole supervised run —
-/// including replays after recovery — so a plan with one fault proves one
-/// full recovery cycle.
-#[derive(Debug, Default)]
-pub struct FaultPlan {
-    faults: Vec<Fault>,
-}
-
-impl FaultPlan {
-    /// Faults at the given `(epoch, shard)` points.
-    pub fn at(points: &[(u64, usize)]) -> Self {
-        FaultPlan {
-            faults: points
-                .iter()
-                .map(|&(epoch, shard)| Fault {
-                    epoch,
-                    shard,
-                    fired: AtomicBool::new(false),
-                })
-                .collect(),
-        }
-    }
-
-    /// `count` faults drawn from a seeded xorshift64* stream over
-    /// `epoch < max_epoch`, `shard < max_shard`. Deterministic in `seed`.
-    pub fn seeded(seed: u64, count: usize, max_epoch: u64, max_shard: usize) -> Self {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let points: Vec<(u64, usize)> = (0..count)
-            .map(|_| {
-                (
-                    next() % max_epoch.max(1),
-                    (next() % max_shard.max(1) as u64) as usize,
-                )
-            })
-            .collect();
-        Self::at(&points)
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// No faults scheduled?
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// How many faults have fired so far.
-    pub fn fired(&self) -> usize {
-        self.faults
-            .iter()
-            .filter(|f| f.fired.load(Ordering::Acquire))
-            .count()
-    }
-
-    /// The scheduled `(epoch, shard)` points, in plan order, independent of
-    /// whether they have fired. Two plans with equal points inject the same
-    /// deterministic fault schedule, so this is the plan's *identity* — what
-    /// a memoizing sweep service keys on when a fault plan rides along with
-    /// a job.
-    pub fn points(&self) -> Vec<(u64, usize)> {
-        self.faults.iter().map(|f| (f.epoch, f.shard)).collect()
-    }
-
-    /// Consume the fault at `(epoch, shard)` if one is scheduled and has
-    /// not fired yet. Called from worker threads and the coordinator.
-    pub(crate) fn take(&self, epoch: u64, shard: usize) -> bool {
-        self.faults.iter().any(|f| {
-            f.epoch == epoch
-                && f.shard == shard
-                && f.fired
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-        })
-    }
-}
 
 /// Why a supervised run ended, beyond what [`SimStats`] carries.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,20 +34,6 @@ pub enum RunOutcome {
     /// The forward-progress watchdog proved a livelock (see the module
     /// docs) and ended the run early with a diagnosis.
     Stalled(Box<StallDiagnosis>),
-}
-
-/// One hop down the degradation ladder, recorded when a faulted span was
-/// rolled back and replayed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryEvent {
-    /// Cycle of the snapshot the run was rolled back to.
-    pub at_cycle: u64,
-    /// Shard count of the faulted attempt.
-    pub from_shards: usize,
-    /// Shard count of the replay (`None`: the sequential engine).
-    pub to_shards: Option<usize>,
-    /// The faulted worker's panic message.
-    pub reason: String,
 }
 
 /// Structured diagnosis of a watchdog trip: where every SM and the memory
@@ -276,10 +125,10 @@ pub struct MemDiag {
 
 /// Per-service counters of a memoizing sweep service (the `grs-bench`
 /// service layer): how many jobs were submitted, how many were answered
-/// without simulating (in-flight dedup and memo hits), and how the executed
-/// remainder fared. Lives here — next to [`RunReport`] — so a report
-/// rendered through [`RunReport::summary_with`] can surface the service
-/// context a result was served under.
+/// without simulating (in-flight dedup and memo hits), and how many of the
+/// executed remainder failed. Lives here — next to [`RunReport`] — so a
+/// report rendered through [`RunReport::summary_with`] can surface the
+/// service context a result was served under.
 ///
 /// Every run is deterministic by construction (the repository's
 /// bit-identity test suites pin this), which is what makes exact
@@ -296,10 +145,7 @@ pub struct ServiceStats {
     pub memo_hits: u64,
     /// Jobs actually simulated by a worker.
     pub executed: u64,
-    /// Executed jobs that recovered from a fault — a worker-level panic
-    /// retry or a supervision-ladder [`RecoveryEvent`] inside the run.
-    pub recovered: u64,
-    /// Executed jobs that failed even after the recovery path.
+    /// Executed jobs that returned an error or panicked.
     pub failed: u64,
     /// Memo-store entries evicted by the bounded LRU.
     pub evicted: u64,
@@ -322,31 +168,27 @@ impl std::fmt::Display for ServiceStats {
         write!(
             f,
             "service: {} submitted, {} deduped in-flight, {} memo hits, \
-             {} executed, {} recovered, {} failed, {} evicted",
-            self.submitted,
-            self.deduped,
-            self.memo_hits,
-            self.executed,
-            self.recovered,
-            self.failed,
-            self.evicted
+             {} executed, {} failed, {} evicted",
+            self.submitted, self.deduped, self.memo_hits, self.executed, self.failed, self.evicted
         )
     }
 }
 
 /// Everything a supervised run reports: the statistics (bit-identical to an
-/// unsupervised run of the same configuration), how it ended, the recovery
-/// path taken, and how many checkpoints were written.
+/// unsupervised run of the same configuration), how it ended, and the
+/// telemetry collected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Aggregated simulation statistics.
     pub stats: SimStats,
     /// Why the run ended.
     pub outcome: RunOutcome,
-    /// Degradation-ladder hops taken to survive faulted spans (empty on an
-    /// undisturbed run).
-    pub recoveries: Vec<RecoveryEvent>,
-    /// Snapshots taken at `checkpoint_every` boundaries.
+    /// Always empty (its element type is uninhabited): runs no longer
+    /// recover from faults. Kept only because the `perfbench/` package
+    /// builds `RunReport` literals that name it.
+    pub recoveries: Vec<Infallible>,
+    /// Always 0: runs no longer checkpoint. Kept only because the
+    /// `perfbench/` package builds `RunReport` literals that name it.
     pub checkpoints: u64,
     /// Collected telemetry, when [`crate::run::RunConfig::telemetry`] was
     /// set (`None` otherwise).
@@ -360,8 +202,7 @@ impl RunReport {
     }
 
     /// Multi-line human-readable summary of the run: outcome, headline
-    /// statistics, the stall breakdown, and the supervision/telemetry
-    /// footprint.
+    /// statistics, the stall breakdown, and the telemetry footprint.
     pub fn summary(&self) -> String {
         self.summary_with(None)
     }
@@ -402,23 +243,6 @@ impl RunReport {
             s.idle_cycles,
             s.stall_mem_gate_cycles,
         );
-        let _ = writeln!(
-            out,
-            "supervision: {} checkpoints, {} recoveries",
-            self.checkpoints,
-            self.recoveries.len()
-        );
-        for r in &self.recoveries {
-            let to = match r.to_shards {
-                Some(n) => format!("{n} shards"),
-                None => "sequential".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "  rollback to cycle {}: {} shards -> {} ({})",
-                r.at_cycle, r.from_shards, to, r.reason
-            );
-        }
         if let Some(t) = &self.telemetry {
             let _ = writeln!(out, "telemetry: {}", t.summary());
         }
@@ -464,107 +288,18 @@ fn diagnose(gpu: &Gpu, st: &EngineState, window: u64) -> StallDiagnosis {
     }
 }
 
-/// Halve the shard count; `1` drops to the sequential engine.
-fn degrade(shards: usize) -> Option<usize> {
-    if shards > 1 {
-        Some(shards / 2)
-    } else {
-        None
-    }
-}
-
-/// Run `gpu` to completion under supervision: bounded spans with optional
-/// checkpoints, the watchdog, and rollback-and-degrade recovery of faulted
-/// sharded spans. With every knob off this reduces exactly to
-/// [`Gpu::run`] / the sharded engine (single unbounded span, no snapshot
-/// beyond the pristine one sharded runs keep for recovery).
-pub(crate) fn supervise(
-    cfg: &RunConfig,
-    mut gpu: Gpu,
-    kinfo: &KernelInfo,
-    fault: Option<&FaultPlan>,
-) -> RunReport {
-    let max_cycles = cfg.max_cycles;
+/// Run `gpu` to completion, `max_cycles` or a watchdog trip.
+pub(crate) fn supervise(cfg: &RunConfig, mut gpu: Gpu, kinfo: &KernelInfo) -> RunReport {
     let watchdog = cfg.watchdog.map(|w| w.max(1));
     let mut st = gpu.start(kinfo);
-    let mut shards = cfg.shards;
-    let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-    let mut checkpoints = 0u64;
-    let mut epoch = 0u64;
-    // Rollback point for recovery: the latest checkpoint, or the pristine
-    // post-launch state. Only sharded runs can fault, so only they pay for
-    // the initial deep copy.
-    let mut restart: Option<Snapshot> = shards.is_some().then(|| gpu.snapshot(&st));
-    let mut stalled = false;
-    // The engine track lives here, outside the machine, so a rollback
-    // cannot erase the recovery history it records.
     let trace = cfg.telemetry.is_some();
     let mut engine: Ring<(u64, TelemetryEvent)> =
         Ring::new(cfg.telemetry.map_or(1, |t| t.capacity));
-    let mut last_watermark: Option<u64> = None;
-    while !gpu.finished() && st.cycle < max_cycles && !stalled {
-        if trace && watchdog.is_some() {
-            let wm = gpu.progress_watermark(&st);
-            if last_watermark != Some(wm) {
-                engine.push((st.cycle, TelemetryEvent::WatermarkUpdate { watermark: wm }));
-                last_watermark = Some(wm);
-            }
-        }
-        let stop = match cfg.checkpoint_every {
-            Some(k) if k > 0 => max_cycles.min((st.cycle / k + 1) * k),
-            _ => max_cycles,
-        };
-        match shards {
-            Some(n) => {
-                match run_sharded_span(
-                    &mut gpu, &mut st, kinfo, stop, n, watchdog, fault, &mut epoch,
-                ) {
-                    ShardSpanEnd::Finished | ShardSpanEnd::ReachedStop => {}
-                    ShardSpanEnd::Stalled => stalled = true,
-                    ShardSpanEnd::Faulted(reason) => {
-                        let snap = restart
-                            .as_ref()
-                            .expect("sharded runs keep a rollback point");
-                        st = gpu.restore(snap);
-                        let to_shards = if recoveries.len() + 1 >= MAX_RECOVERIES {
-                            None
-                        } else {
-                            degrade(n)
-                        };
-                        if trace {
-                            engine.push((
-                                snap.cycle(),
-                                TelemetryEvent::Recovery {
-                                    from_shards: n as u32,
-                                    to_shards: to_shards.map_or(0, |s| s as u32),
-                                },
-                            ));
-                        }
-                        recoveries.push(RecoveryEvent {
-                            at_cycle: snap.cycle(),
-                            from_shards: n,
-                            to_shards,
-                            reason,
-                        });
-                        shards = to_shards;
-                        continue;
-                    }
-                }
-            }
-            None => {
-                if gpu.run_until(&mut st, kinfo, stop, watchdog) == SpanEnd::Stalled {
-                    stalled = true;
-                }
-            }
-        }
-        if cfg.checkpoint_every.is_some() && !stalled && !gpu.finished() && st.cycle < max_cycles {
-            restart = Some(gpu.snapshot(&st));
-            checkpoints += 1;
-            if trace {
-                engine.push((st.cycle, TelemetryEvent::CheckpointCut));
-            }
-        }
+    if trace && watchdog.is_some() && !gpu.finished() && st.cycle < cfg.max_cycles {
+        let watermark = gpu.progress_watermark(&st);
+        engine.push((st.cycle, TelemetryEvent::WatermarkUpdate { watermark }));
     }
+    let stalled = gpu.run_until(&mut st, kinfo, cfg.max_cycles, watchdog) == SpanEnd::Stalled;
     let outcome = if stalled {
         RunOutcome::Stalled(Box::new(diagnose(&gpu, &st, watchdog.unwrap_or(0))))
     } else if gpu.finished() {
@@ -580,43 +315,8 @@ pub(crate) fn supervise(
     RunReport {
         stats,
         outcome,
-        recoveries,
-        checkpoints,
+        recoveries: Vec::new(),
+        checkpoints: 0,
         telemetry,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fault_plans_fire_each_point_exactly_once() {
-        let plan = FaultPlan::at(&[(3, 1), (5, 0)]);
-        assert_eq!(plan.len(), 2);
-        assert!(!plan.take(3, 0));
-        assert!(plan.take(3, 1));
-        assert!(!plan.take(3, 1), "a fault fires only once");
-        assert_eq!(plan.fired(), 1);
-        assert!(plan.take(5, 0));
-        assert_eq!(plan.fired(), 2);
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_in_range() {
-        let a = FaultPlan::seeded(42, 8, 10, 4);
-        let b = FaultPlan::seeded(42, 8, 10, 4);
-        assert_eq!(a.len(), 8);
-        for (fa, fb) in a.faults.iter().zip(&b.faults) {
-            assert_eq!((fa.epoch, fa.shard), (fb.epoch, fb.shard));
-            assert!(fa.epoch < 10 && fa.shard < 4);
-        }
-    }
-
-    #[test]
-    fn the_ladder_degrades_to_sequential() {
-        assert_eq!(degrade(8), Some(4));
-        assert_eq!(degrade(2), Some(1));
-        assert_eq!(degrade(1), None);
     }
 }

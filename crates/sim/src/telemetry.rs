@@ -8,12 +8,11 @@
 //! across all schedulers, sharing modes, memory models, and engines.
 //!
 //! Events are appended to per-track ring buffers — one per SM, one for the
-//! event-driven memory system, one for the supervision engine — each with a
-//! configurable capacity and a drop counter. At run end the tracks are
-//! merged into one stream in the canonical `(cycle, track rank, seq)`
-//! order, the same (cycle, SM id) order the sequential engine steps in, so
-//! the merged stream is identical for any shard count and across
-//! checkpoint/resume boundaries.
+//! event-driven memory system, one for the supervisor's watchdog — each
+//! with a configurable capacity and a drop counter. At run end the tracks
+//! are merged into one stream in the canonical `(cycle, track rank, seq)`
+//! order, the same (cycle, SM id) order the engine steps in, so the merged
+//! stream is identical across both engines.
 //!
 //! On top of events, a periodic sampler (`sample_every` cycles) emits
 //! per-SM timeline rows (occupancy, instruction deltas, stall breakdown)
@@ -108,9 +107,6 @@ pub enum TelemetryEvent {
         /// Whether the span was a memory-gate stall rather than idleness.
         gated: bool,
     },
-    /// A sharded-engine lane committed against real shared state at the
-    /// stamped cycle (park and commit happen at the same cycle).
-    EpochCommit,
     /// An MSHR entry filled and released its waiters.
     MshrFill {
         /// Memory partition index.
@@ -131,20 +127,10 @@ pub enum TelemetryEvent {
         /// Memory partition index.
         part: u32,
     },
-    /// The supervisor cut a checkpoint snapshot at the stamped cycle.
-    CheckpointCut,
     /// The watchdog observed a new forward-progress watermark.
     WatermarkUpdate {
         /// The new watermark cycle.
         watermark: u64,
-    },
-    /// The supervisor recovered from a faulted span by rolling back and
-    /// degrading the shard count.
-    Recovery {
-        /// Shard count of the span that faulted.
-        from_shards: u32,
-        /// Shard count retried with; `0` means sequential.
-        to_shards: u32,
     },
 }
 
@@ -155,7 +141,7 @@ pub enum Track {
     Sm(u32),
     /// The shared L2/MSHR/DRAM system (event memory model only).
     Mem,
-    /// The supervision engine (checkpoints, watchdog, recoveries).
+    /// The supervisor (watchdog watermarks).
     Engine,
 }
 
@@ -339,8 +325,7 @@ impl<T> Ring<T> {
     }
 }
 
-/// Per-SM recording state. Lives on `Sm` (boxed) so it rides snapshots,
-/// restores, and shard hand-offs with the SM it belongs to.
+/// Per-SM recording state. Lives on `Sm` (boxed).
 #[derive(Debug, Clone)]
 pub(crate) struct SmTelemetry {
     pub(crate) ring: Ring<(u64, TelemetryEvent)>,
@@ -403,8 +388,7 @@ impl SmTelemetry {
     }
 }
 
-/// Memory-system recording state (event model only). Lives on `EventMem`
-/// so it clones with snapshots and is restored on rollback.
+/// Memory-system recording state (event model only). Lives on `EventMem`.
 #[derive(Debug, Clone)]
 pub(crate) struct MemTelemetry {
     pub(crate) ring: Ring<(u64, TelemetryEvent)>,
@@ -457,13 +441,10 @@ fn track_stats(ring: &Ring<(u64, TelemetryEvent)>, track: Track) -> TrackStats {
 /// Merge all tracks into a [`TelemetryReport`] in the canonical
 /// `(cycle, rank, seq)` order.
 ///
-/// Machine tracks record in nondecreasing cycle order by construction
-/// (each SM's own clock is monotone, MEM events are drained in due order,
-/// and rollback reverts the rings along with the machine), so the merge
-/// reads them as sorted runs straight out of the rings — no intermediate
-/// copy. The ENGINE ring is the one exception: a post-rollback `Recovery`
-/// is stamped at the snapshot cycle, *behind* already-recorded
-/// watermarks, so it alone is materialized and sorted first.
+/// Every track records in nondecreasing cycle order by construction (each
+/// SM's own clock is monotone and MEM events are drained in due order), so
+/// the merge reads the machine tracks as sorted runs straight out of the
+/// rings — no intermediate copy.
 ///
 /// The k-way merge keeps one packed `cycle << 48 | rank` head key per
 /// track (ranks are unique per track, so head keys never tie) and picks
@@ -477,7 +458,7 @@ pub(crate) fn assemble(
     engine: Ring<(u64, TelemetryEvent)>,
 ) -> TelemetryReport {
     let mut tracks = Vec::with_capacity(sms.len() + 2);
-    let mut engine_run: Vec<TraceRecord> = {
+    let engine_run: Vec<TraceRecord> = {
         let base = engine.first_seq();
         engine
             .iter()
@@ -490,7 +471,6 @@ pub(crate) fn assemble(
             })
             .collect()
     };
-    engine_run.sort_unstable_by_key(|r| (r.cycle, r.seq));
     for sm in &mut sms {
         sm.ring.make_contiguous();
     }
@@ -565,9 +545,9 @@ pub(crate) fn assemble(
         if engine_run.is_empty() {
             machine
         } else {
-            // ENGINE events are rare (checkpoint cuts, watermarks,
-            // recoveries) and rank last, so fold them in with a cold-path
-            // 2-way merge instead of taxing every machine-event advance.
+            // ENGINE events are rare (watchdog watermarks) and rank last,
+            // so fold them in with a cold-path 2-way merge instead of taxing
+            // every machine-event advance.
             let mut merged = Vec::with_capacity(machine.len() + engine_run.len());
             let mut e = engine_run.into_iter().peekable();
             for rec in machine {

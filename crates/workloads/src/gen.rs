@@ -31,8 +31,8 @@
 //! a pure function of its [`GenSpec`] — which is what lets the differential
 //! harness (`tests/generated_differential.rs`) use the simulator's own
 //! determinism contract as an oracle: the same kernel must produce
-//! bit-identical `SimStats` across every engine, memory model, telemetry
-//! setting and checkpoint cut.
+//! bit-identical `SimStats` across both engines, every memory model and
+//! telemetry setting.
 //!
 //! Specs have a stable string form, `gen:<family>:<seed>[:<size>]`
 //! (e.g. `gen:pointer-chase:42:small`), accepted by
@@ -219,8 +219,8 @@ impl GenSpec {
 
 /// The pinned differential corpus: every family × [`PINNED_SEEDS`], small
 /// size class. `tests/generated_differential.rs` asserts bit-identical
-/// `SimStats` for each entry across every engine/memory/telemetry/
-/// checkpoint combination.
+/// `SimStats` for each entry across every engine/memory/telemetry
+/// combination.
 pub fn pinned_corpus() -> Vec<GenSpec> {
     Family::ALL
         .into_iter()

@@ -1,10 +1,9 @@
 //! Cross-engine differential harness over the generated-kernel corpus.
 //!
 //! The simulator's determinism contract is the oracle: a generated kernel
-//! needs no reference output, because every engine (per-cycle reference,
-//! event-driven fast-forward, sharded epoch), every observation layer
-//! (telemetry, checkpoint/resume) and the idealized event memory model must
-//! produce **bit-identical** `SimStats`. Any divergence is a bug in one of
+//! needs no reference output, because both engines (per-cycle reference,
+//! event-driven fast-forward), the telemetry observation layer and the
+//! idealized event memory model must produce **bit-identical** `SimStats`. Any divergence is a bug in one of
 //! them — found without ever deciding what the "right" number is.
 //!
 //! Coverage:
@@ -24,7 +23,7 @@ use proptest::prelude::*;
 use workloads::gen::{pinned_corpus, Family, GenSpec, PINNED_SEEDS};
 
 /// Small machine so the per-cycle reference loop stays fast in debug
-/// builds; 2 SMs still exercise cross-SM dispatch and sharding.
+/// builds; 2 SMs still exercise cross-SM dispatch.
 fn base(model: MemoryModel) -> RunConfig {
     let mut cfg = RunConfig::baseline_lrr().with_memory_model(model);
     cfg.gpu.num_sms = 2;
@@ -54,19 +53,13 @@ fn engines_are_bit_identical_on_the_pinned_corpus_functional() {
         let kernel = spec.build();
         let cfg = base(MemoryModel::Functional);
         let reference = reference(&spec, &cfg);
-        for (label, variant) in [
-            ("fast-forward", cfg.clone().with_fast_forward(true)),
-            ("shards-2", cfg.clone().with_shards(Some(2))),
-            ("shards-4", cfg.clone().with_shards(Some(4))),
-        ] {
-            let stats = Simulator::new(variant).run(&kernel);
-            assert_eq!(
-                stats,
-                reference,
-                "{label} diverges from the per-cycle reference on {}",
-                spec.scenario_name()
-            );
-        }
+        let stats = Simulator::new(cfg.with_fast_forward(true)).run(&kernel);
+        assert_eq!(
+            stats,
+            reference,
+            "fast-forward diverges from the per-cycle reference on {}",
+            spec.scenario_name()
+        );
         assert_eq!(reference.blocks_completed, u64::from(kernel.grid_blocks));
     }
 }
@@ -77,18 +70,13 @@ fn engines_are_bit_identical_on_the_pinned_corpus_finite_event() {
         let kernel = spec.build();
         let cfg = base(MemoryModel::Event);
         let reference = reference(&spec, &cfg);
-        for (label, variant) in [
-            ("fast-forward", cfg.clone().with_fast_forward(true)),
-            ("shards-2", cfg.clone().with_shards(Some(2))),
-        ] {
-            let stats = Simulator::new(variant).run(&kernel);
-            assert_eq!(
-                stats,
-                reference,
-                "{label} diverges under the finite event model on {}",
-                spec.scenario_name()
-            );
-        }
+        let stats = Simulator::new(cfg.with_fast_forward(true)).run(&kernel);
+        assert_eq!(
+            stats,
+            reference,
+            "fast-forward diverges under the finite event model on {}",
+            spec.scenario_name()
+        );
     }
 }
 
@@ -108,15 +96,14 @@ fn idealized_event_model_equals_functional_on_the_pinned_corpus() {
 }
 
 #[test]
-fn telemetry_and_checkpoints_are_invisible_on_the_pinned_corpus() {
+fn telemetry_is_invisible_on_the_pinned_corpus() {
     for spec in pinned_corpus() {
         let kernel = spec.build();
         let cfg = base(MemoryModel::Event);
         let plain = Simulator::new(cfg.clone()).run(&kernel);
 
         let traced = Simulator::new(
-            cfg.clone()
-                .with_telemetry(Some(TelemetryConfig::default().with_sample_every(500))),
+            cfg.with_telemetry(Some(TelemetryConfig::default().with_sample_every(500))),
         )
         .run_report(&kernel);
         assert!(traced.completed(), "{}", spec.scenario_name());
@@ -129,18 +116,6 @@ fn telemetry_and_checkpoints_are_invisible_on_the_pinned_corpus() {
         assert!(
             traced.telemetry.is_some(),
             "telemetry was configured on {}",
-            spec.scenario_name()
-        );
-
-        // A deliberately odd interval so snapshot cuts land at arbitrary
-        // cycles, never aligned with epochs or loop trips.
-        let checkpointed = Simulator::new(cfg.with_checkpoint_every(Some(137))).run_report(&kernel);
-        assert!(checkpointed.completed(), "{}", spec.scenario_name());
-        assert!(checkpointed.checkpoints > 0, "{}", spec.scenario_name());
-        assert_eq!(
-            checkpointed.stats,
-            plain,
-            "checkpoint/resume perturbed {}",
             spec.scenario_name()
         );
     }
@@ -218,38 +193,31 @@ proptest! {
         for model in [MemoryModel::Functional, MemoryModel::Event] {
             let cfg = base(model);
             let reference = reference(&spec, &cfg);
-            for variant in [
-                cfg.clone().with_fast_forward(true),
-                cfg.clone().with_shards(Some(2)),
-            ] {
-                let stats = Simulator::new(variant).run(&kernel);
-                prop_assert_eq!(
-                    &stats,
-                    &reference,
-                    "divergence under {:?} on {}",
-                    model,
-                    spec.scenario_name()
-                );
-            }
+            let stats = Simulator::new(cfg.with_fast_forward(true)).run(&kernel);
+            prop_assert_eq!(
+                &stats,
+                &reference,
+                "divergence under {:?} on {}",
+                model,
+                spec.scenario_name()
+            );
         }
     }
 
     #[test]
-    fn fresh_seeds_survive_telemetry_and_checkpoints(spec in fresh_spec()) {
+    fn fresh_seeds_survive_telemetry(spec in fresh_spec()) {
         let kernel = spec.build();
         let cfg = base(MemoryModel::Event);
         let plain = Simulator::new(cfg.clone()).run(&kernel);
         let traced = Simulator::new(
-            cfg.clone()
-                .with_telemetry(Some(TelemetryConfig::default().with_sample_every(500)))
-                .with_checkpoint_every(Some(137)),
+            cfg.with_telemetry(Some(TelemetryConfig::default().with_sample_every(500))),
         )
         .run_report(&kernel);
         prop_assert!(traced.completed(), "{}", spec.scenario_name());
         prop_assert_eq!(
             &traced.stats,
             &plain,
-            "observation layers perturbed {}",
+            "telemetry perturbed {}",
             spec.scenario_name()
         );
     }

@@ -1,18 +1,15 @@
 //! The telemetry contract: tracing is pure observation. `SimStats` are
 //! **bit-identical** with telemetry on or off across the scheduler ×
-//! sharing × memory-model matrix and all three engines; the merged event
-//! stream is invariant to shard count and to checkpoint/resume boundaries
-//! (the engine track excepted — checkpoints and recoveries are real
-//! engine-level occurrences); sampled timeline rows are exact across
-//! fast-forward clock jumps; and ring overflow drops oldest-first with
-//! exact accounting (property-tested with pinned seeds).
+//! sharing × memory-model matrix and both engines; sampled timeline rows
+//! and machine events are exact across fast-forward clock jumps; and ring
+//! overflow drops oldest-first with exact accounting (property-tested with
+//! pinned seeds).
 
 use gpu_resource_sharing::core::SchedulerKind;
 use gpu_resource_sharing::isa::GlobalPattern as GP;
 use gpu_resource_sharing::prelude::*;
 use gpu_resource_sharing::sim::{
-    FaultPlan, MemoryModel, RunOutcome, SimStats, TelemetryEvent, TelemetryReport, TraceRecord,
-    Track,
+    MemoryModel, RunOutcome, SimStats, TelemetryEvent, TelemetryReport, TraceRecord, Track,
 };
 use proptest::prelude::*;
 
@@ -66,18 +63,6 @@ fn assert_breakdown_invariants(s: &SimStats, label: &str) {
     }
 }
 
-/// Events on the SM and memory tracks — the machine-level stream that must
-/// be invariant to checkpointing and recovery (the engine track records
-/// the supervision history itself, which those features legitimately
-/// change).
-fn machine_events(t: &TelemetryReport) -> Vec<TraceRecord> {
-    t.events
-        .iter()
-        .filter(|r| r.track != Track::Engine)
-        .copied()
-        .collect()
-}
-
 #[test]
 fn tracing_is_invisible_across_the_full_matrix() {
     let schedulers = [
@@ -106,13 +91,12 @@ fn tracing_is_invisible_across_the_full_matrix() {
                 let untraced = Simulator::new(cfg.clone()).run(kernel);
                 assert!(!untraced.timed_out, "{label}");
                 assert_breakdown_invariants(&untraced, &label);
-                // All three engines, telemetry on: stats must stay
+                // Both engines, telemetry on: stats must stay
                 // bit-identical — which also pins the per-reason stall
                 // breakdown (part of SimStats equality) across engines.
                 for (engine, tcfg) in [
                     ("fast-forward", traced(&cfg, 256)),
                     ("reference", traced(&cfg, 256).with_fast_forward(false)),
-                    ("sharded", traced(&cfg, 256).with_shards(Some(2))),
                 ] {
                     let report = Simulator::new(tcfg).run_report(kernel);
                     assert_eq!(report.stats, untraced, "{label} traced on {engine}");
@@ -151,99 +135,6 @@ fn sampled_rows_and_machine_events_are_exact_across_fast_forward_jumps() {
         .iter()
         .all(|r| !matches!(r.event, TelemetryEvent::SleepSpan { .. })));
     assert_eq!(strip_sleep(&fast), strip_sleep(&reference));
-}
-
-#[test]
-fn the_merged_stream_is_shard_count_invariant() {
-    let kernel = &kernels()[1];
-    let cfg = config(
-        SchedulerKind::Owf,
-        SharingMode::Scratchpad,
-        MemoryModel::Event,
-    );
-    let two = Simulator::new(traced(&cfg, 128).with_shards(Some(2))).run_report(kernel);
-    let four = Simulator::new(traced(&cfg, 128).with_shards(Some(4))).run_report(kernel);
-    assert_eq!(two.stats, four.stats);
-    let (two, four) = (two.telemetry.unwrap(), four.telemetry.unwrap());
-    assert!(two
-        .events
-        .iter()
-        .any(|r| r.event == TelemetryEvent::EpochCommit));
-    // The whole report — events, samples, per-track accounting — is pinned,
-    // not just the statistics.
-    assert_eq!(two, four);
-}
-
-#[test]
-fn checkpoint_cuts_do_not_perturb_the_machine_streams() {
-    let kernel = &kernels()[0];
-    for shards in [None, Some(2)] {
-        let cfg = config(
-            SchedulerKind::Gto,
-            SharingMode::Registers,
-            MemoryModel::Event,
-        )
-        .with_shards(shards);
-        let plain = Simulator::new(traced(&cfg, 128)).run_report(kernel);
-        let cut =
-            Simulator::new(traced(&cfg, 128).with_checkpoint_every(Some(137))).run_report(kernel);
-        assert_eq!(plain.stats, cut.stats, "shards={shards:?}");
-        assert!(cut.checkpoints > 0);
-        let (plain, cut_t) = (plain.telemetry.unwrap(), cut.telemetry.unwrap());
-        assert_eq!(
-            machine_events(&plain),
-            machine_events(&cut_t),
-            "shards={shards:?}"
-        );
-        assert_eq!(plain.sm_samples, cut_t.sm_samples, "shards={shards:?}");
-        assert_eq!(plain.mem_samples, cut_t.mem_samples, "shards={shards:?}");
-        // The engine track records each cut, surviving outside the machine.
-        let cuts = cut_t
-            .events
-            .iter()
-            .filter(|r| r.event == TelemetryEvent::CheckpointCut)
-            .count() as u64;
-        assert_eq!(cuts, cut.checkpoints, "shards={shards:?}");
-    }
-}
-
-#[test]
-fn fault_recovery_resumes_an_identical_machine_stream() {
-    // A worker panic rolls the machine back to the last snapshot — which
-    // carries the SM and MEM ring buffers with it — and replays with fewer
-    // shards. The replayed machine stream must be indistinguishable from
-    // an undisturbed run's; the recovery itself is recorded on the engine
-    // track, where rollback cannot erase it.
-    let kernel = &kernels()[1];
-    let cfg = config(SchedulerKind::Lrr, SharingMode::None, MemoryModel::Event)
-        .with_shards(Some(2))
-        .with_checkpoint_every(Some(500));
-    let clean = Simulator::new(traced(&cfg, 256)).run_report(kernel);
-    let plan = FaultPlan::at(&[(10, 1)]);
-    let faulted = Simulator::new(traced(&cfg, 256))
-        .try_run_report_with_faults(kernel, &plan)
-        .expect("valid kernel");
-    assert_eq!(plan.fired(), 1, "the injected fault never fired");
-    assert_eq!(faulted.recoveries.len(), 1);
-    assert_eq!(faulted.stats, clean.stats);
-    assert_eq!(faulted.outcome, RunOutcome::Completed);
-    let (clean, faulted_t) = (clean.telemetry.unwrap(), faulted.telemetry.unwrap());
-    assert_eq!(machine_events(&clean), machine_events(&faulted_t));
-    assert_eq!(clean.sm_samples, faulted_t.sm_samples);
-    assert_eq!(clean.mem_samples, faulted_t.mem_samples);
-    let recovery = faulted_t
-        .events
-        .iter()
-        .find(|r| matches!(r.event, TelemetryEvent::Recovery { .. }))
-        .expect("the recovery is on the engine track");
-    assert_eq!(recovery.track, Track::Engine);
-    assert_eq!(
-        recovery.event,
-        TelemetryEvent::Recovery {
-            from_shards: 2,
-            to_shards: 1
-        }
-    );
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! per-warp MSHR quota of zero, which blocks every global-memory warp
 //! forever) ends the run `window` cycles past the last provable progress —
 //! **well** before `max_cycles` — with a populated `StallDiagnosis`; the
-//! trip cycle and statistics are identical across the per-cycle,
-//! fast-forward and sharded engines; and a healthy run with the watchdog
-//! armed is completely unaffected.
+//! trip cycle and statistics are identical across the per-cycle and
+//! fast-forward engines; and a healthy run with the watchdog armed is
+//! completely unaffected.
 
 use gpu_resource_sharing::isa::GlobalPattern as GP;
 use gpu_resource_sharing::prelude::*;
@@ -78,26 +78,21 @@ fn a_livelock_trips_the_watchdog_with_a_full_diagnosis() {
 }
 
 #[test]
-fn the_trip_is_identical_across_all_three_engines() {
+fn the_trip_is_identical_across_both_engines() {
     for model in [MemoryModel::Functional, MemoryModel::Event] {
         let base = livelock_config(model).with_watchdog(Some(750));
         let reference =
             Simulator::new(base.clone().with_fast_forward(false)).run_report(&livelock_kernel());
         expect_stall(&reference);
-        for cfg in [
-            base.clone(),                      // fast-forward
-            base.clone().with_shards(Some(2)), // sharded
-        ] {
-            let report = Simulator::new(cfg).run_report(&livelock_kernel());
-            assert_eq!(
-                report.outcome, reference.outcome,
-                "trip diagnosis diverges under {model:?}"
-            );
-            assert_eq!(
-                report.stats, reference.stats,
-                "stalled statistics diverge under {model:?}"
-            );
-        }
+        let report = Simulator::new(base).run_report(&livelock_kernel());
+        assert_eq!(
+            report.outcome, reference.outcome,
+            "trip diagnosis diverges under {model:?}"
+        );
+        assert_eq!(
+            report.stats, reference.stats,
+            "stalled statistics diverge under {model:?}"
+        );
     }
 }
 
@@ -108,18 +103,11 @@ fn a_healthy_run_is_unaffected_by_an_armed_watchdog() {
     let mut cfg = RunConfig::paper_register_sharing().with_memory_model(MemoryModel::Event);
     cfg.gpu.num_sms = 4;
     let plain = Simulator::new(cfg.clone()).run(&conv1);
-    for shards in [None, Some(2)] {
-        let report = Simulator::new(
-            cfg.clone()
-                .with_shards(shards)
-                // Far smaller than the run, far larger than any real gap
-                // between events (DRAM latency bounds quiet spans).
-                .with_watchdog(Some(10_000)),
-        )
-        .run_report(&conv1);
-        assert_eq!(report.outcome, RunOutcome::Completed, "shards={shards:?}");
-        assert_eq!(report.stats, plain, "shards={shards:?}");
-    }
+    // Far smaller than the run, far larger than any real gap between
+    // events (DRAM latency bounds quiet spans).
+    let report = Simulator::new(cfg.with_watchdog(Some(10_000))).run_report(&conv1);
+    assert_eq!(report.outcome, RunOutcome::Completed);
+    assert_eq!(report.stats, plain);
 }
 
 #[test]
