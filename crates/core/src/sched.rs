@@ -179,6 +179,12 @@ impl ReadySet {
         self.dynamic_id[view.slot] = view.dynamic_id;
     }
 
+    /// Does any slot hold a ready warp?
+    #[inline]
+    pub fn any_ready(&self) -> bool {
+        self.masks.iter().any(|m| m.ready != 0)
+    }
+
     fn words(&self) -> usize {
         self.masks.len()
     }
@@ -468,6 +474,19 @@ mod tests {
         assert_eq!(s.pick(0, &set), Some(1));
         assert_eq!(s.pick(0, &set), Some(3));
         assert_eq!(s.pick(0, &set), Some(1));
+    }
+
+    #[test]
+    fn any_ready_follows_the_latest_view_of_each_slot() {
+        let mut set = ReadySet::new(70);
+        set.insert(&v(3, 3, WarpClass::Unshared, false));
+        assert!(!set.any_ready());
+        // A slot in the second word counts, and re-inserting it unready
+        // clears it again.
+        set.insert(&v(66, 66, WarpClass::Unshared, true));
+        assert!(set.any_ready());
+        set.insert(&v(66, 66, WarpClass::Unshared, false));
+        assert!(!set.any_ready());
     }
 
     #[test]

@@ -115,8 +115,18 @@ impl MemGate {
         if !meta.is_global_mem() {
             return None;
         }
-        let need = u32::from(meta.mem_txns);
-        if meta.is_global_load() {
+        self.blocks_request(meta.is_global_load(), u32::from(meta.mem_txns))
+    }
+
+    /// What, if anything, blocks a global-memory request of `need`
+    /// transactions (a load if `load`, else a store), by the rule of
+    /// [`Self::blocks`]. Monotone in `need`: a gate that blocks `need`
+    /// transactions blocks every larger request of the same kind, which is
+    /// what lets the readiness scan test only the smallest request parked
+    /// behind the gate.
+    #[inline]
+    pub fn blocks_request(&self, load: bool, need: u32) -> Option<GateBlock> {
+        if load {
             if self.mshr_free < need || self.dram_free < need {
                 return Some(GateBlock::Mshr);
             }

@@ -18,27 +18,48 @@
 //! ## Incremental readiness
 //!
 //! The scan is incremental: each warp slot keeps its entry in the
-//! scheduler's [`ReadySet`] from its last evaluation. A warp blocked purely
-//! on conditions that only a writeback drain or an issue on this SM can
-//! change — scoreboard hazard, exit drain, barrier wait — is *stable*: its
-//! entry remains valid and the reference scan would produce no side effects
-//! for it, so it is skipped until something dirties it into the `pending`
-//! slot mask. Warps whose evaluation has per-cycle side effects or
-//! same-cycle dependencies (ready, lock busy-wait, throttle gating, MSHR
-//! backpressure) are *volatile* and stay pending, re-evaluated every cycle,
-//! reproducing the reference side-effect sequence (stat counters, RNG draws)
-//! in slot order. Structural changes (block launch/retire) clear and refill
-//! the whole set, which otherwise keeps the exact live-slot composition the
-//! schedulers saw in the reference implementation.
+//! scheduler's [`ReadySet`] from its last evaluation, and a slot is
+//! re-evaluated only when something that decides its state may have
+//! changed. After an evaluation a live slot is either *volatile* — left in
+//! the `pending` slot mask and re-evaluated by every scan — or *parked* in
+//! one of five masks and skipped until something dirties it back into
+//! `pending`:
+//!
+//! * **stable** — ready, or blocked on a scoreboard hazard, an exit drain or
+//!   a barrier, with no per-cycle side effects;
+//! * **lock wait** — busy-waiting on its pair lock (Fig. 3/Fig. 4 step (e));
+//! * **MSHR wait** — at its per-warp outstanding-memory limit;
+//! * **gate load / gate store** — refused by the event memory model's
+//!   [`MemGate`].
+//!
+//! What decides a parked slot only changes on a drain of its writebacks,
+//! its own issue, a lock acquisition in its pair or a barrier release in
+//! its block — each dirties the slot — or on a block launch or retirement,
+//! which rescans every slot. Per-cycle side effects of parked slots are
+//! credited by popcount: each scan adds the lock-wait count to
+//! `lock_retries`, a non-empty MSHR-wait mask makes the cycle a stall, and
+//! while the gate still refuses the smallest request parked behind it (the
+//! gate is monotone in the request size) the gate masks add to
+//! `mshr_full_stalls` / `dram_queue_full_stalls`; once it admits that
+//! request, every slot parked on that kind of request is dirtied. Lock and
+//! MSHR waiters keep the SM awake: every cycle they wait is stepped and
+//! counted. Only warps whose evaluation can change without any of those events
+//! stay volatile: a warp whose next global-memory instruction asks the
+//! throttle (an RNG draw per evaluation) or, on the event model, reads the
+//! gate. Volatile slots are re-evaluated in slot order, reproducing the
+//! reference sequence of RNG draws. Block launch and retirement clear and
+//! refill the whole set, which otherwise keeps the exact live-slot
+//! composition the schedulers saw in the reference implementation.
 //!
 //! ## Fast-forward support
 //!
 //! [`Sm::step`] reports whether the cycle was *quiescent* — zero issues, no
-//! stall reason, and no volatile warp, i.e. a cycle whose outcome is fully
-//! determined until the next writeback drains. [`Sm::next_wake`] exposes that
-//! drain cycle (the timing wheel's minimum); [`crate::gpu::Gpu::run`] jumps
-//! the clock when every SM is quiescent and credits the skipped span through
-//! [`Sm::credit_skipped`], preserving the idle/empty split bit for bit.
+//! stall reason, no ready, volatile or lock-waiting warp, i.e. a cycle whose
+//! outcome is fully determined until the next writeback drains.
+//! [`Sm::next_wake`] exposes that drain cycle (the timing wheel's minimum);
+//! [`crate::gpu::Gpu::run`] jumps the clock when every SM is quiescent and
+//! credits the skipped span through [`Sm::credit_skipped`], preserving the
+//! idle/empty split bit for bit.
 
 use grs_core::{
     DynThrottle, LatencyConfig, LaunchPlan, ReadySet, RegAccess, RegPairLocks, Scheduler,
@@ -81,45 +102,51 @@ pub enum WbKind {
     MemTxn(u16),
 }
 
-/// How an evaluation leaves a warp slot, as the incremental scan tracks it.
+/// How an evaluation leaves a warp slot, as the incremental scan tracks it
+/// (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotScan {
-    /// Blocked on conditions only a drain or an SM-local issue can change
-    /// (hazard, exit drain, barrier): ready-set entry valid, no per-cycle side
-    /// effects. Skipped until something dirties it.
-    Stable,
-    /// Re-evaluate every cycle: ready, lock-blocked, throttle-gated or
-    /// MSHR-full — evaluation has per-cycle side effects (stat counters,
-    /// RNG draws) or can change without time passing.
+    /// Re-evaluate every scan: the warp's next global-memory instruction
+    /// asks the throttle (an RNG draw) or, on the event model, reads the
+    /// memory gate, so its evaluation can change without this SM dirtying
+    /// it.
     Volatile,
-    /// Blocked solely by event-memory-model back-pressure ([`MemGate`]).
-    /// Re-evaluated every stepped cycle (the per-cycle block counters are
-    /// side effects), but — unlike [`SlotScan::Volatile`] — it does not
-    /// prevent the SM from sleeping: the block can only end at a capacity
-    /// release, whose cycle the memory system knows, and the skipped span's
-    /// accounting is credited in closed form ([`Sm::credit_gated`]).
-    Gated,
+    /// Skipped until dirtied; the scan credits the kind's per-cycle side
+    /// effects meanwhile.
+    Parked(Park),
 }
 
-/// How a warp's evaluation left it blocked, as the scan summary needs it.
+/// Why a slot is parked: the index of the park mask that holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Blocked {
-    /// Not blocked (ready, or waiting without stalling).
-    No,
-    /// Pipeline stall (lock busy-wait, per-warp MSHR limit): never
-    /// skippable.
-    Hard,
-    /// Event-model MSHR back-pressure: stall cycles, but sleepable.
-    GateMshr,
-    /// Event-model DRAM-queue back-pressure: stall cycles, but sleepable.
-    GateDram,
+enum Park {
+    /// Ready, or blocked on a hazard, an exit drain or a barrier: no
+    /// per-cycle side effects.
+    Stable,
+    /// Pair-lock busy-wait: one `lock_retries` per stepped cycle; keeps the
+    /// SM awake.
+    LockWait,
+    /// At the per-warp MSHR limit: a pipeline-stall cycle; keeps the SM
+    /// awake.
+    MshrWait,
+    /// Load refused by the memory gate: one `mshr_full_stalls` per stepped
+    /// cycle. Does not keep the SM awake: the gate can only open at a
+    /// capacity release, whose cycle the memory system knows, and a slept
+    /// span is credited in closed form ([`Sm::credit_gated`]).
+    GateLoad,
+    /// Store refused by the memory gate: one `dram_queue_full_stalls` per
+    /// stepped cycle; sleepable like [`Park::GateLoad`].
+    GateStore,
 }
+
+const PARK_KINDS: usize = 5;
 
 /// Aggregate outcome of one readiness scan.
 #[derive(Debug, Clone, Copy)]
 struct ScanSummary {
     any_live: bool,
     any_stall: bool,
+    /// A volatile, lock-waiting or MSHR-waiting warp: the SM must step the
+    /// next cycle.
     any_volatile: bool,
     any_ready: bool,
     /// Warps blocked by the memory gate this cycle (MSHR, DRAM queue).
@@ -128,16 +155,19 @@ struct ScanSummary {
 }
 
 impl ScanSummary {
+    /// Account `n` slots left in `state` by this scan.
     #[inline]
-    fn note(&mut self, ready: bool, state: SlotScan, blocked: Blocked) {
-        match blocked {
-            Blocked::No => {}
-            Blocked::Hard => self.any_stall = true,
-            Blocked::GateMshr => self.gate_mshr += 1,
-            Blocked::GateDram => self.gate_dram += 1,
+    fn note(&mut self, state: SlotScan, n: u32) {
+        match state {
+            SlotScan::Parked(Park::Stable) => {}
+            SlotScan::Volatile | SlotScan::Parked(Park::LockWait) => self.any_volatile |= n > 0,
+            SlotScan::Parked(Park::MshrWait) => {
+                self.any_stall |= n > 0;
+                self.any_volatile |= n > 0;
+            }
+            SlotScan::Parked(Park::GateLoad) => self.gate_mshr += n,
+            SlotScan::Parked(Park::GateStore) => self.gate_dram += n,
         }
-        self.any_volatile |= state == SlotScan::Volatile;
-        self.any_ready |= ready;
     }
 
     /// Any warp blocked by the memory gate?
@@ -165,8 +195,8 @@ pub struct SmMode {
 pub struct StepOutcome {
     /// Did the SM hold any live (unfinished) warp this cycle?
     pub live: bool,
-    /// Zero issues, no stall reason, no volatile warp: nothing on this SM
-    /// can change before its next writeback drains.
+    /// Zero issues, no stall reason, no ready, volatile or lock-waiting
+    /// warp: nothing on this SM can change before its next writeback drains.
     pub quiescent: bool,
     /// Like `quiescent`, except ≥1 warp is blocked by event-memory-model
     /// back-pressure: the SM may sleep, but it must also wake on the next
@@ -203,12 +233,18 @@ pub struct Sm {
     units: usize,
     next_dyn_id: u64,
     writebacks: TimingWheel<Writeback>,
-    // Incremental-scan state, one bit per warp slot. A `stable` slot is
-    // skipped until a drain or an SM-local issue dirties it into `pending`;
-    // `pending` slots (dirty, volatile or gated) are re-evaluated by the next
-    // scan; a vacant slot is in neither.
-    stable: Vec<u64>,
+    // Incremental-scan state (see the module docs). `pending` holds the slots
+    // the next scan re-evaluates (dirty or volatile), one bit per slot;
+    // `parked` holds, per 64-slot word, one mask per `Park` kind, and
+    // `slot_park` names the mask each parked slot is in. A vacant or
+    // finished slot is in none of them.
     pending: Vec<u64>,
+    parked: Vec<[u64; PARK_KINDS]>,
+    slot_park: Vec<Option<Park>>,
+    /// Smallest transaction count parked behind the gate, for loads and
+    /// stores (`u32::MAX`: none). Dirtying a parked slot leaves it as is,
+    /// so it may be too small, which only costs a spurious unpark.
+    gate_min: [u32; 2],
     /// The scheduler's snapshot of the latest scan (see the module docs).
     ready_set: ReadySet,
     live_warp_count: u32,
@@ -275,8 +311,10 @@ impl Sm {
             units,
             next_dyn_id: 0,
             writebacks: TimingWheel::new(),
-            stable: vec![0; (slots * wpb).div_ceil(64)],
             pending: vec![0; (slots * wpb).div_ceil(64)],
+            parked: vec![[0; PARK_KINDS]; (slots * wpb).div_ceil(64)],
+            slot_park: vec![None; slots * wpb],
+            gate_min: [u32::MAX; 2],
             ready_set: ReadySet::new(slots * wpb),
             live_warp_count: 0,
             structural: true,
@@ -546,7 +584,7 @@ impl Sm {
         self.drain_writebacks(now);
         shared.advance_to(now); // event model: settle capacity releases
         let max_pending = shared.cfg.max_pending_per_warp;
-        let gate = shared.issue_gate();
+        let gate = shared.is_event().then(|| shared.issue_gate());
         let scan = self.scan_readiness(now, kinfo, throttle, max_pending, gate);
 
         let mut issued = 0u32;
@@ -616,7 +654,11 @@ impl Sm {
         }
 
         self.last_gate_blocks = (scan.gate_mshr, scan.gate_dram);
-        let sleepable = issued == 0 && !scan.any_stall && !port_conflict && !scan.any_volatile;
+        let sleepable = issued == 0
+            && !scan.any_stall
+            && !port_conflict
+            && !scan.any_volatile
+            && !scan.any_ready;
         StepOutcome {
             live: scan.any_live,
             quiescent: sleepable && !scan.any_gated(),
@@ -626,8 +668,9 @@ impl Sm {
     }
 
     fn drain_writebacks(&mut self, now: u64) {
-        self.writebacks.drain_due_into(now, &mut self.wb_scratch);
-        for &(_, wb) in &self.wb_scratch {
+        let mut due = std::mem::take(&mut self.wb_scratch);
+        self.writebacks.drain_due_into(now, &mut due);
+        for &(_, wb) in &due {
             let slot = wb.slot as usize;
             if let Some(w) = self.warps[slot].as_mut() {
                 match wb.kind {
@@ -644,26 +687,46 @@ impl Sm {
                         w.mem_txn_done(group);
                     }
                 }
-                self.pending[slot / 64] |= self.stable[slot / 64] & (1 << (slot % 64));
+                self.mark_slot_dirty(slot);
+            }
+        }
+        self.wb_scratch = due;
+    }
+
+    /// Move a parked slot back to `pending`; a volatile, vacant or finished
+    /// slot is left as it is.
+    #[inline]
+    fn mark_slot_dirty(&mut self, slot: usize) {
+        if let Some(park) = self.slot_park[slot].take() {
+            let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+            self.parked[w][park as usize] &= !bit;
+            self.pending[w] |= bit;
+        }
+    }
+
+    /// Dirty every slot parked as `park`.
+    fn unpark_all(&mut self, park: Park) {
+        for w in 0..self.pending.len() {
+            let mut bits = std::mem::take(&mut self.parked[w][park as usize]);
+            self.pending[w] |= bits;
+            while bits != 0 {
+                self.slot_park[w * 64 + bits.trailing_zeros() as usize] = None;
+                bits &= bits - 1;
             }
         }
     }
 
-    #[inline]
-    fn mark_slot_dirty(&mut self, slot: usize) {
-        self.pending[slot / 64] |= self.stable[slot / 64] & (1 << (slot % 64));
-    }
-
-    /// Record how `slot`'s evaluation left it.
+    /// Record how `slot`'s evaluation left it (the slot is not parked).
     #[inline]
     fn set_scan(&mut self, slot: usize, state: SlotScan) {
         let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-        if state == SlotScan::Stable {
-            self.stable[w] |= bit;
-            self.pending[w] &= !bit;
-        } else {
-            self.stable[w] &= !bit;
-            self.pending[w] |= bit;
+        match state {
+            SlotScan::Volatile => self.pending[w] |= bit,
+            SlotScan::Parked(park) => {
+                self.pending[w] &= !bit;
+                self.parked[w][park as usize] |= bit;
+                self.slot_park[slot] = Some(park);
+            }
         }
     }
 
@@ -684,17 +747,19 @@ impl Sm {
         self.mark_block_dirty(a + 1, warps_per_block);
     }
 
-    /// Scan resident warps, refreshing the ready set. Stable slots are
-    /// skipped; their entries are still exactly what a full scan would
-    /// produce, with the same (empty) side-effect set. Ready warps are
-    /// always volatile, so `any_ready` only needs the re-evaluated slots.
+    /// Scan resident warps, refreshing the ready set. Parked slots are
+    /// skipped: their entries are still exactly what a full scan would
+    /// produce, and [`Self::credit_parked`] applies the side effects a full
+    /// scan would have had for them. Ready warps may be parked, so
+    /// `any_ready` is read off the whole set. `gate` is the event model's
+    /// issue gate (`None` on the functional model, which has none).
     fn scan_readiness(
         &mut self,
         now: u64,
         kinfo: &KernelInfo,
         throttle: &mut DynThrottle,
         max_pending: u32,
-        gate: MemGate,
+        gate: Option<MemGate>,
     ) -> ScanSummary {
         let mut summary = ScanSummary {
             any_live: self.live_warp_count > 0,
@@ -707,21 +772,23 @@ impl Sm {
         if self.structural || !self.incremental {
             self.structural = false;
             self.ready_set.clear();
-            self.stable.fill(0);
             self.pending.fill(0);
+            self.parked.fill([0; PARK_KINDS]);
+            self.slot_park.fill(None);
+            self.gate_min = [u32::MAX; 2];
             for slot in 0..self.warps.len() {
                 let live = self.warps[slot].as_ref().is_some_and(|w| !w.finished);
                 if !live {
                     self.set_reason(slot, 0, now);
                     continue;
                 }
-                let (view, state, blocked) =
-                    self.eval_warp(slot, now, kinfo, throttle, max_pending, gate);
-                summary.note(view.ready, state, blocked);
+                let (view, state) = self.eval_warp(slot, now, kinfo, throttle, max_pending, gate);
+                summary.note(state, 1);
                 self.set_scan(slot, state);
                 self.ready_set.insert(&view);
             }
         } else {
+            self.credit_parked(&mut summary, gate);
             // Pending slots in slot order: the reference scan's side-effect
             // order.
             for w in 0..self.pending.len() {
@@ -729,20 +796,58 @@ impl Sm {
                 while bits != 0 {
                     let slot = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let (view, state, blocked) =
+                    let (view, state) =
                         self.eval_warp(slot, now, kinfo, throttle, max_pending, gate);
-                    summary.note(view.ready, state, blocked);
+                    summary.note(state, 1);
                     self.set_scan(slot, state);
                     self.ready_set.insert(&view);
                 }
             }
         }
+        summary.any_ready = self.ready_set.any_ready();
         summary
     }
 
+    /// Apply to the parked slots what re-evaluating each of them this cycle
+    /// would do, by popcount, after dirtying the gate-parked slots of each
+    /// request kind the gate now admits (they are re-evaluated by this
+    /// scan). The gate is monotone in the request size, so testing the
+    /// smallest parked request decides for every slot of its kind.
+    fn credit_parked(&mut self, summary: &mut ScanSummary, gate: Option<MemGate>) {
+        let mut n = [0u32; PARK_KINDS];
+        for masks in &self.parked {
+            for (count, mask) in n.iter_mut().zip(masks) {
+                *count += mask.count_ones();
+            }
+        }
+        for (i, park) in [Park::GateLoad, Park::GateStore].into_iter().enumerate() {
+            if n[park as usize] == 0 {
+                continue;
+            }
+            let gate = gate.expect("only the event model parks warps behind the gate");
+            if gate.blocks_request(i == 0, self.gate_min[i]).is_none() {
+                self.unpark_all(park);
+                self.gate_min[i] = u32::MAX;
+                n[park as usize] = 0;
+            }
+        }
+        self.stats.lock_retries += u64::from(n[Park::LockWait as usize]);
+        self.stats.mshr_full_stalls += u64::from(n[Park::GateLoad as usize]);
+        self.stats.dram_queue_full_stalls += u64::from(n[Park::GateStore as usize]);
+        for park in [
+            Park::LockWait,
+            Park::MshrWait,
+            Park::GateLoad,
+            Park::GateStore,
+        ] {
+            summary.note(SlotScan::Parked(park), n[park as usize]);
+        }
+    }
+
     /// Evaluate one live warp exactly as the reference per-cycle scan would:
-    /// same checks, same order, same side effects (lock-retry and throttle
-    /// counters, throttle RNG draws).
+    /// same checks, same order, same side effects (lock-retry, gate-stall
+    /// and throttle counters, throttle RNG draws), and say how the scan
+    /// keeps the slot until its next evaluation.
     fn eval_warp(
         &mut self,
         slot: usize,
@@ -750,8 +855,8 @@ impl Sm {
         kinfo: &KernelInfo,
         throttle: &mut DynThrottle,
         max_pending: u32,
-        gate: MemGate,
-    ) -> (WarpView, SlotScan, Blocked) {
+        gate: Option<MemGate>,
+    ) -> (WarpView, SlotScan) {
         let w = self.warps[slot].as_ref().expect("evaluating a live warp");
         let block = self.blocks[w.block_slot as usize]
             .as_ref()
@@ -781,8 +886,7 @@ impl Sm {
         };
 
         let mut ready = false;
-        let mut blocked = Blocked::No;
-        let mut state = SlotScan::Stable;
+        let mut state = SlotScan::Parked(Park::Stable);
         // Stall reason for the breakdown counters: barrier unless the
         // !at_barrier branch refines it below.
         let mut reason = 2u8;
@@ -791,38 +895,35 @@ impl Sm {
             let hazard = w.has_hazard(meta.op_mask);
             let drain_for_exit = meta.is_exit() && (w.outstanding_mem > 0 || w.pending_regs != 0);
             let mshr_full = meta.is_global_mem() && w.outstanding_mem >= max_pending;
+            let mut gated = false;
             if mshr_full {
                 // Structural congestion: the warp has work but the
                 // memory pipeline cannot accept it — a *pipeline stall*
                 // in the paper's Sec. VI-B accounting (and the signal
                 // the Sec. IV-C throttle monitors).
-                blocked = Blocked::Hard;
-                state = SlotScan::Volatile;
-            }
-            let mut gated = false;
-            if !hazard && !drain_for_exit && !mshr_full {
+                state = SlotScan::Parked(Park::MshrWait);
+            } else if !hazard && !drain_for_exit {
                 // Event-model issue gate: the shared memory system cannot
                 // take this instruction's transactions. Same stall class as
-                // `mshr_full`, but sleepable (see `SlotScan::Gated`).
-                match gate.blocks(meta) {
+                // `mshr_full`, but sleepable (see `Park::GateLoad`).
+                let need = u32::from(meta.mem_txns);
+                match gate.and_then(|g| g.blocks(meta)) {
                     Some(GateBlock::Mshr) => {
-                        blocked = Blocked::GateMshr;
                         self.stats.mshr_full_stalls += 1;
+                        self.gate_min[0] = self.gate_min[0].min(need);
+                        state = SlotScan::Parked(Park::GateLoad);
                         gated = true;
                     }
                     Some(GateBlock::DramQueue) => {
-                        blocked = Blocked::GateDram;
                         self.stats.dram_queue_full_stalls += 1;
+                        self.gate_min[1] = self.gate_min[1].min(need);
+                        state = SlotScan::Parked(Park::GateStore);
                         gated = true;
                     }
                     None => {}
                 }
-                if gated {
-                    state = SlotScan::Gated;
-                }
             }
             if !hazard && !drain_for_exit && !mshr_full && !gated {
-                state = SlotScan::Volatile;
                 ready = true;
                 // Pair-lock busy-wait (Fig. 3 / Fig. 4 step (e)): the
                 // warp is simply not ready; it retries next cycle.
@@ -843,17 +944,26 @@ impl Sm {
                             }
                         }
                     }
+                    if !ready {
+                        state = SlotScan::Parked(Park::LockWait);
+                    }
                 }
                 // Dynamic warp-execution throttle (paper Sec. IV-C):
-                // intentional suppression, not a pipeline stall.
-                if ready
+                // intentional suppression, not a pipeline stall. Asking
+                // it draws from the SM's RNG stream, and its answer
+                // changes with the window, so such a warp is volatile.
+                let asks_throttle = ready
                     && meta.is_global_mem()
                     && class == WarpClass::NonOwner
-                    && throttle.enabled()
-                    && !throttle.allow(self.id)
-                {
+                    && throttle.enabled();
+                if asks_throttle && !throttle.allow(self.id) {
                     ready = false;
                     self.stats.throttled_issues += 1;
+                }
+                // The event-model gate may close on a global-memory warp
+                // that it admits now, without this SM dirtying the slot.
+                if asks_throttle || (meta.is_global_mem() && gate.is_some()) {
+                    state = SlotScan::Volatile;
                 }
             }
             // Scoreboard beats the memory gate when both hold; everything
@@ -873,7 +983,7 @@ impl Sm {
             ready,
         };
         self.set_reason(slot, reason, now);
-        (view, state, blocked)
+        (view, state)
     }
 
     /// Issue the next instruction of the warp in `slot`. Returns false only
@@ -1083,6 +1193,9 @@ impl Sm {
             }
         }
 
+        // The warp's next instruction, scoreboard and MSHR count all moved:
+        // a parked ready warp is re-evaluated by the next scan.
+        self.mark_slot_dirty(slot);
         self.stats.warp_instrs += 1;
         self.stats.thread_instrs += u64::from(threads);
         true
@@ -1199,7 +1312,7 @@ fn release_barrier(warps: &mut [Option<Warp>], block_slot: u32, warps_per_block:
 mod tests {
     use super::*;
     use grs_core::{GpuConfig, ResourceKind, Threshold};
-    use grs_isa::KernelBuilder;
+    use grs_isa::{GlobalPattern, KernelBuilder};
 
     fn kinfo(regs: u32, threads: u32) -> KernelInfo {
         let k = KernelBuilder::new("t")
@@ -1218,6 +1331,18 @@ mod tests {
             max_blocks: unshared + 2 * pairs,
             baseline_blocks: unshared + pairs,
             resource: ResourceKind::Registers,
+        }
+    }
+
+    /// Park every live slot as stable, so dirtying shows in `pending`.
+    fn park_all_stable(s: &mut Sm) {
+        s.pending.fill(0);
+        s.parked.fill([0; PARK_KINDS]);
+        s.slot_park.fill(None);
+        for slot in 0..s.warps.len() {
+            if s.warps[slot].is_some() {
+                s.set_scan(slot, SlotScan::Parked(Park::Stable));
+            }
         }
     }
 
@@ -1330,34 +1455,172 @@ mod tests {
         let mut disp = Dispatcher::new(2);
         s.launch_block(disp.next_block().unwrap(), &ki, 0);
         s.launch_block(disp.next_block().unwrap(), &ki, 0);
-        let gate = shared.issue_gate();
-        s.scan_readiness(0, &ki, &mut throttle, 8, gate);
-        // Pretend every slot is stable, so dirtying shows in `pending`.
-        let all_stable = |s: &mut Sm| {
-            s.stable = vec![0b1111];
-            s.pending = vec![0];
-        };
+        s.scan_readiness(0, &ki, &mut throttle, 8, None);
         let issue = |s: &mut Sm, slot: usize, shared: &mut SharedMem, disp: &mut Dispatcher| {
             s.issue(slot, 0, &ki, &cfg.lat, shared, disp)
         };
 
         // Warp 0 of block A takes its pair lock: both blocks are dirtied.
-        all_stable(&mut s);
+        park_all_stable(&mut s);
         assert!(issue(&mut s, 0, &mut shared, &mut disp));
         assert_eq!(s.pending, vec![0b1111]);
-        // The holder's repeat access changes neither lock nor owner.
-        all_stable(&mut s);
+        // The holder's repeat access changes neither lock nor owner: only
+        // the issuing slot itself is dirtied.
+        park_all_stable(&mut s);
         assert!(issue(&mut s, 0, &mut shared, &mut disp));
-        assert_eq!(
-            (s.stable.clone(), s.pending.clone()),
-            (vec![0b1111], vec![0])
-        );
-        // Neither does a denied access by the partner's warp 0.
+        assert_eq!(s.pending, vec![0b0001]);
+        assert_eq!(s.slot_park[1..], [Some(Park::Stable); 3]);
+        // A denied access by the partner's warp 0 dirties nothing.
         assert!(!issue(&mut s, 2, &mut shared, &mut disp));
-        assert_eq!(s.pending, vec![0]);
+        assert_eq!(s.pending, vec![0b0001]);
         // Warp 1 of block A acquires its own lock: dirty again.
         assert!(issue(&mut s, 1, &mut shared, &mut disp));
         assert_eq!(s.pending, vec![0b1111]);
+    }
+
+    #[test]
+    fn a_ready_warp_is_parked_until_its_own_issue_or_a_drain() {
+        // Two warps of one block, each a dependent ialu chain.
+        let ki = kinfo(8, 64);
+        let cfg = GpuConfig::tiny();
+        let mut s = sm(&ki, plan(1, 0));
+        let mut shared = SharedMem::new(cfg.mem);
+        let mut throttle = DynThrottle::disabled(1);
+        let mut disp = Dispatcher::new(1);
+        s.launch_block(disp.next_block().unwrap(), &ki, 0);
+
+        // One evaluation parks both ready warps; a second scan re-evaluates
+        // nothing and still sees them ready, with no reason to stay awake.
+        s.scan_readiness(0, &ki, &mut throttle, 8, None);
+        assert_eq!(s.slot_park[..2], [Some(Park::Stable); 2]);
+        assert_eq!(s.pending, vec![0]);
+        let scan = s.scan_readiness(1, &ki, &mut throttle, 8, None);
+        assert!(scan.any_ready && !scan.any_volatile && !scan.any_stall);
+        assert_eq!(s.pending, vec![0]);
+
+        // Warp 1's issue dirties warp 1 alone; its re-evaluation finds the
+        // ialu result pending and parks it again, scoreboard-blocked.
+        assert!(s.issue(1, 1, &ki, &cfg.lat, &mut shared, &mut disp));
+        assert_eq!(s.pending, vec![0b10]);
+        assert_eq!(s.slot_park[..2], [Some(Park::Stable), None]);
+        s.scan_readiness(2, &ki, &mut throttle, 8, None);
+        assert_eq!(s.pending, vec![0]);
+        assert_eq!(s.slot_reason[1], 1, "re-evaluated into a hazard");
+
+        // Draining the result dirties warp 1 again, and only warp 1.
+        let due = 1 + u64::from(cfg.lat.ialu);
+        s.drain_writebacks(due - 1);
+        assert_eq!(s.pending, vec![0]);
+        s.drain_writebacks(due);
+        assert_eq!(s.pending, vec![0b10]);
+        s.scan_readiness(due, &ki, &mut throttle, 8, None);
+        assert_eq!(s.slot_reason[1], 0, "ready again");
+        assert_eq!(s.slot_park[..2], [Some(Park::Stable); 2]);
+    }
+
+    #[test]
+    fn a_lock_waiter_stays_parked_and_retries_once_per_stepped_cycle() {
+        // One pair of 1-warp blocks whose every ialu touches a shared
+        // register: slot 0 (block A) takes the lock at cycle 0, so slot 1
+        // (block B) busy-waits until block A completes.
+        let k = KernelBuilder::new("shared")
+            .threads_per_block(32)
+            .regs_per_thread(8)
+            .grid_blocks(2)
+            .ialu(4)
+            .build();
+        let ki = KernelInfo::new(
+            k,
+            Some(ResourceKind::Registers),
+            Threshold::new(0.1).unwrap(),
+        );
+        let cfg = GpuConfig::tiny();
+        let mut s = sm(&ki, plan(0, 1));
+        let mut shared = SharedMem::new(cfg.mem);
+        let mut throttle = DynThrottle::disabled(1);
+        let mut disp = Dispatcher::new(2);
+        s.launch_block(disp.next_block().unwrap(), &ki, 0);
+        s.launch_block(disp.next_block().unwrap(), &ki, 0);
+
+        // Cycle 0: both warps look ready; slot 0 wins the lock and slot 1
+        // loses the same-cycle race (one retry, counted at issue).
+        s.step(0, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
+        assert_eq!(s.stats.lock_retries, 1);
+        let mut waited = 0;
+        for cycle in 1..1000 {
+            let before = s.stats.lock_retries;
+            let out = s.step(cycle, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
+            assert_eq!(s.stats.lock_retries, before + 1, "cycle {cycle}");
+            assert!(
+                !out.quiescent && !out.gated,
+                "a lock waiter keeps the SM awake"
+            );
+            waited += 1;
+            if s.blocks[0].is_none() {
+                break; // block A completed this cycle: the lock is free
+            }
+            assert_eq!(s.slot_park[1], Some(Park::LockWait), "cycle {cycle}");
+            assert_eq!(s.pending[0] & 0b10, 0, "cycle {cycle}");
+        }
+        assert!(waited > 4, "slot 1 waited on four ialus of slot 0");
+        // The retirement rescans every slot: slot 1 finds the lock free
+        // and issues without another retry.
+        let before = (s.stats.lock_retries, s.stats.warp_instrs);
+        s.step(
+            waited + 1,
+            &ki,
+            &cfg.lat,
+            &mut shared,
+            &mut throttle,
+            &mut disp,
+        );
+        assert_eq!(s.stats.lock_retries, before.0);
+        assert_eq!(s.stats.warp_instrs, before.1 + 1);
+    }
+
+    #[test]
+    fn a_gate_parked_load_is_re_evaluated_once_the_gate_admits_it() {
+        let k = KernelBuilder::new("gather")
+            .threads_per_block(32)
+            .regs_per_thread(8)
+            .grid_blocks(1)
+            .ld_global(GlobalPattern::Scatter {
+                span_lines: 64,
+                txns: 4,
+            })
+            .build();
+        let ki = KernelInfo::new(k, None, Threshold::paper_default());
+        let need = u32::from(ki.meta[0].mem_txns);
+        assert_eq!(need, 4);
+        let mut s = sm(&ki, plan(1, 0));
+        let mut throttle = DynThrottle::disabled(1);
+        s.launch_block(0, &ki, 0);
+        let gate = |mshr_free| {
+            Some(MemGate {
+                mshr_free,
+                dram_free: u32::MAX,
+            })
+        };
+
+        let scan = s.scan_readiness(0, &ki, &mut throttle, 8, gate(0));
+        assert_eq!(s.slot_park[0], Some(Park::GateLoad));
+        assert_eq!((scan.gate_mshr, s.stats.mshr_full_stalls), (1, 1));
+        // Change the warp behind the scan's back: were it re-evaluated, it
+        // would now park at its per-warp MSHR limit instead.
+        s.warps[0].as_mut().unwrap().outstanding_mem = 8;
+        for (cycle, free) in [(1, 0), (2, need - 1)] {
+            let scan = s.scan_readiness(cycle, &ki, &mut throttle, 8, gate(free));
+            assert_eq!(s.slot_park[0], Some(Park::GateLoad), "not before");
+            assert_eq!(scan.gate_mshr, 1);
+            assert!(!scan.any_stall && !scan.any_volatile, "sleepable");
+            assert_eq!(s.stats.mshr_full_stalls, cycle + 1);
+        }
+        // The first gate that admits `need` transactions re-evaluates it.
+        let scan = s.scan_readiness(3, &ki, &mut throttle, 8, gate(need));
+        assert_eq!(s.slot_park[0], Some(Park::MshrWait));
+        assert_eq!(scan.gate_mshr, 0);
+        assert!(scan.any_stall);
+        assert_eq!(s.stats.mshr_full_stalls, 3);
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! * the pinned corpus (`workloads::gen::pinned_corpus()`: every family ×
 //!   pinned seed, small size) across all of the above, under the functional
 //!   and the finite event memory model;
+//! * the first pinned seed of every family under both paper sharing modes
+//!   (OWF, dynamic throttle) on the finite event model, where pair-lock
+//!   waits and the throttle meet memory back-pressure;
 //! * a seeded fresh-band property test over arbitrary `(family, seed)`
 //!   draws — `GRS_GEN_SEEDS` raises the case count for nightly fuzz runs
 //!   (pinned regressions in `proptest-regressions/generated_differential.txt`);
@@ -78,6 +81,61 @@ fn engines_are_bit_identical_on_the_pinned_corpus_finite_event() {
             spec.scenario_name()
         );
     }
+}
+
+#[test]
+fn engines_are_bit_identical_under_sharing_on_the_finite_event_model() {
+    // The rows above run baseline LRR, where no pair lock, throttle or
+    // non-owner warp exists, and the generated grids are too small to be
+    // resource-limited anyway. Here each SM's shared resource holds 1.9
+    // blocks' worth — one block without sharing, one shared pair with it —
+    // so under both paper sharing modes (OWF, dynamic throttle on) lock
+    // waits and throttled non-owner warps meet finite-buffer gating. One
+    // seed per family keeps the per-cycle reference affordable in debug
+    // builds; families without scratchpad skip the scratchpad row, which
+    // would share nothing.
+    let mut lock_retries = 0;
+    let mut throttled = 0;
+    let mut gated = 0;
+    for family in Family::ALL {
+        let spec = GenSpec::new(family, PINNED_SEEDS[0]);
+        let kernel = spec.build();
+        for sharing in [
+            RunConfig::paper_register_sharing(),
+            RunConfig::paper_scratchpad_sharing(),
+        ] {
+            let mut cfg = sharing
+                .with_dyn_throttle(true)
+                .with_memory_model(MemoryModel::Event);
+            cfg.gpu.num_sms = 2;
+            cfg.max_cycles = 20_000_000;
+            if cfg.sharing == SharingMode::Registers {
+                cfg.gpu.sm.registers = kernel.regs_per_thread * kernel.threads_per_block * 19 / 10;
+            } else if kernel.smem_per_block > 0 {
+                cfg.gpu.sm.scratchpad_bytes = kernel.smem_per_block * 19 / 10;
+            } else {
+                continue;
+            }
+            let reference = reference(&spec, &cfg);
+            let stats = Simulator::new(cfg.clone().with_fast_forward(true)).run(&kernel);
+            assert_eq!(
+                stats,
+                reference,
+                "fast-forward diverges under {:?} sharing on {}",
+                cfg.sharing,
+                spec.scenario_name()
+            );
+            lock_retries += reference.lock_retries;
+            throttled += reference.throttled_issues;
+            gated += reference.mshr_full_stalls;
+        }
+    }
+    // Non-vacuity: the rows exercised lock waits, the throttle and the
+    // memory gate.
+    assert!(
+        lock_retries > 0 && throttled > 0 && gated > 0,
+        "{lock_retries} lock retries, {throttled} throttled issues, {gated} gate stalls"
+    );
 }
 
 #[test]
